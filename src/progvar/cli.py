@@ -17,6 +17,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -163,9 +164,10 @@ def _cmd_linnik(args):
 
     def scan_one(q):
         bound = max(8, int(round(q**args.bound_exponent)))
-        units = linnik_mod._units(q)
+        units = sieve.units_mod(q).tolist()
         known = {a: state.get(_resume_key(q, a, args.predicate)) for a in units}
-        if all(isinstance(n, int) for n in known.values()):
+        # A stored minimum answers this run only when it lies within the bound.
+        if all(isinstance(n, int) and n <= bound for n in known.values()):
             return linnik_mod._assemble(q, args.predicate, bound, known)
         if args.predicate in ("e3", "e3-distinct"):
             return linnik_mod.linnik_L3(q, bound,
@@ -180,12 +182,16 @@ def _cmd_linnik(args):
     for q, res in zip(qs, results):
         for a, n in sorted(res.minima.items()):
             key = _resume_key(q, a, args.predicate)
-            state[key] = n if n is not None else "pending"
+            # a minimum found earlier under a larger bound stays on record
+            state[key] = n if n is not None else state.get(key, "pending")
             exponent = math.log(n) / math.log(q) if n is not None and q > 1 else None
             rows.append({"q": q, "a": a, "n": n, "exponent": exponent})
     if args.resume:
-        with open(args.resume, "w", encoding="utf-8") as fh:
+        # Write beside the state and rename, so it is never left half-written.
+        tmp = args.resume + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(state, fh, sort_keys=True)
+        os.replace(tmp, args.resume)
     _emit(args, ["q", "a", "n", "exponent"], rows, rows)
     return 0
 

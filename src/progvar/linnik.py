@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .sieve import (PrimeTable, _require_table, big_omega_range, mobius_range,
-                    omega_range)
+                    omega_range, units_mod)
 
 BLOCK = 100_000
 
@@ -52,12 +52,6 @@ class LinnikScanResult:
             minima={int(a): n for a, n in obj["minima"].items()},
             max_value=obj["max_value"], exponent=obj["exponent"],
         )
-
-
-def _units(q):
-    if q == 1:
-        return [0]
-    return [a for a in range(1, q) if math.gcd(a, q) == 1]
 
 
 def _qualifier(predicate: str, distinct_primes: bool = False):
@@ -133,7 +127,7 @@ def linnik_L3(q: int, bound: int, distinct_primes: bool = False,
               table: PrimeTable | None = None) -> LinnikScanResult:
     """Least three-prime-product per coprime class; max over classes."""
     table = _require_table(table)
-    units = _units(q)
+    units = units_mod(q).tolist()
     found = _scan(q, bound, _qualifier("e3", distinct_primes), set(units), table)
     minima = {a: found.get(a) for a in units}
     name = "e3-distinct" if distinct_primes else "e3"
@@ -146,7 +140,7 @@ def linnik_mobius(q: int, sign: int, bound: int,
     if sign not in (-1, 1):
         raise DomainError(f"sign must be +-1, got {sign}")
     pred = "mobius-minus" if sign == -1 else "mobius-plus"
-    units = _units(q)
+    units = units_mod(q).tolist()
     found = _scan(q, bound, _qualifier(pred), set(units), table)
     minima = {a: found.get(a) for a in units}
     return _assemble(q, pred, bound, minima)
@@ -183,7 +177,7 @@ def ternary_coverage(q: int, table: PrimeTable | None = None):
     table = _require_table(table)
     if q == 1:
         return (True, {}, [])  # trivial group: nothing to cover
-    units = _units(q)
+    units = units_mod(q).tolist()
     primes = [int(p) for p in table.primes_in(2, q)]
     primes = [p for p in primes if q % p != 0]
     witnesses: dict[int, tuple[int, int, int]] = {}

@@ -132,17 +132,12 @@ def evaluate_range(f: MultiplicativeFunction, lo: int, hi: int,
     if lo < 1:
         raise DomainError(f"range must start at 1 or later, got {lo}")
     vals = np.ones(hi - lo + 1, dtype=np.complex128)
-    rule_cache: dict[tuple[int, int], complex] = {}
 
-    def visit(p, k, pos):
-        key = (p, k)
-        v = rule_cache.get(key)
-        if v is None:
-            v = complex(f.prime_power(p, k))
-            rule_cache[key] = v
-        if v == 1.0:
+    def visit(p, sl, e):
+        local = [1.0] + [complex(f.prime_power(p, k)) for k in range(1, int(e.max()) + 1)]
+        if all(v == 1.0 for v in local):
             return
-        vals[pos] *= v
+        vals[sl] *= np.array(local, dtype=np.complex128)[e]
 
     residual = window_apply(lo, hi, table, math.inf, visit)
     tail = residual > 1

@@ -164,6 +164,11 @@ def euler_phi(n: int, table: PrimeTable | None = None) -> int:
     return out
 
 
+def units_mod(q: int) -> np.ndarray:
+    """Residues 0 <= a < q with gcd(a, q) = 1, ascending; [0] for q = 1."""
+    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+
+
 def omega_in_range(n: int, P: float, Q: float, table: PrimeTable | None = None) -> int:
     """Number of distinct primes p | n with P <= p <= Q."""
     if not 1 <= P <= Q:
@@ -180,12 +185,27 @@ def prime_bounds(n: int, table: PrimeTable | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Interval passes.  window_apply drives one pass per prime p <= pmax over
-# [lo, hi], reporting the exact exponent of p in each position, and returns
-# the residual cofactors (each residual > 1 is a single prime > pmax).
+# Interval passes.  window_apply makes one strided pass per prime; each
+# caller turns the exponents into mu, Omega, omega or f(n) with one array
+# operation per prime, on slice views rather than gathered index arrays.
 
 
 def window_apply(lo: int, hi: int, table: PrimeTable, pmax: float, on_prime_power) -> np.ndarray:
+    """Sieve [lo, hi] by the primes p <= min(pmax, sqrt(hi)); return residuals.
+
+    For each such p with a multiple in the window, on_prime_power(p, sl, e)
+    is called exactly once: sl = slice(-lo % p, None, p) selects the
+    multiples of p in any array indexed by n - lo, and e (int8) holds the
+    exact exponent of p at each of them.  The returned int64 array holds n
+    divided by its prime powers p^k with p <= min(pmax, sqrt(hi)); when
+    pmax >= sqrt(hi) each residual > 1 is a single prime above sqrt(hi).
+
+    The product of the removed prime powers divides n <= limit**2 < 2**62,
+    so it stays exact in int64, and every exponent is below 63, so int8 holds
+    it.  The name, the parameter names and the three positional callback
+    arguments are a fixed contract: the benchmark tracer (bench/spans.py)
+    binds on_prime_power by name and wraps it in a three-argument counter.
+    """
     if lo < 1 or lo > hi:
         raise DomainError(f"bad window [{lo}, {hi}]")
     if hi > table.limit * table.limit:
@@ -193,23 +213,24 @@ def window_apply(lo: int, hi: int, table: PrimeTable, pmax: float, on_prime_powe
     root = math.isqrt(hi)
     if root > table.limit:
         raise CapacityError(f"window up to {hi} needs primes to {root} > limit {table.limit}")
-    residual = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in table.primes_in(2, min(pmax, root)):
-        p = int(p)
-        start = ((lo + p - 1) // p) * p
-        if start > hi:
+    prod = np.ones(hi - lo + 1, dtype=np.int64)
+    for p in table.primes_in(2, min(pmax, root)).tolist():
+        j0 = -lo % p
+        if lo + j0 > hi:
             continue
-        idx = np.arange(start - lo, hi - lo + 1, p)
-        k = 1
-        while idx.size:
-            residual[idx] //= p
-            deeper = residual[idx] % p == 0
-            settled = idx[~deeper]
-            if settled.size:
-                on_prime_power(p, k, settled)
-            idx = idx[deeper]
-            k += 1
-    return residual
+        sl = slice(j0, None, p)
+        prod[sl] *= p
+        e = np.ones((hi - lo - j0) // p + 1, dtype=np.int8)
+        pk = p * p
+        while pk <= hi:
+            jk = -lo % pk
+            if lo + jk > hi:
+                break
+            prod[jk::pk] *= p
+            e[(jk - j0) // p :: pk // p] += 1
+            pk *= p
+        on_prime_power(p, sl, e)
+    return np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), prod, out=prod)
 
 
 def mobius_range(lo: int, hi: int, table: PrimeTable | None = None) -> np.ndarray:
@@ -217,11 +238,8 @@ def mobius_range(lo: int, hi: int, table: PrimeTable | None = None) -> np.ndarra
     table = _require_table(table)
     mu = np.ones(hi - lo + 1, dtype=np.int8)
 
-    def visit(p, k, pos):
-        if k >= 2:
-            mu[pos] = 0
-        else:
-            mu[pos] = -mu[pos]
+    def visit(p, sl, e):
+        mu[sl] *= np.where(e == 1, np.int8(-1), np.int8(0))
 
     residual = window_apply(lo, hi, table, math.inf, visit)
     mu[residual > 1] *= -1
@@ -233,8 +251,8 @@ def big_omega_range(lo: int, hi: int, table: PrimeTable | None = None) -> np.nda
     table = _require_table(table)
     om = np.zeros(hi - lo + 1, dtype=np.int32)
 
-    def visit(p, k, pos):
-        om[pos] += k
+    def visit(p, sl, e):
+        om[sl] += e
 
     residual = window_apply(lo, hi, table, math.inf, visit)
     om[residual > 1] += 1
@@ -243,15 +261,7 @@ def big_omega_range(lo: int, hi: int, table: PrimeTable | None = None) -> np.nda
 
 def omega_range(lo: int, hi: int, table: PrimeTable | None = None) -> np.ndarray:
     """omega (distinct prime factors) over [lo, hi]."""
-    table = _require_table(table)
-    om = np.zeros(hi - lo + 1, dtype=np.int32)
-
-    def visit(p, k, pos):
-        om[pos] += 1
-
-    residual = window_apply(lo, hi, table, math.inf, visit)
-    om[residual > 1] += 1
-    return om
+    return omega_between_range(lo, hi, 1, math.inf, table)
 
 
 def omega_between_range(lo: int, hi: int, P: float, Q: float,
@@ -262,9 +272,9 @@ def omega_between_range(lo: int, hi: int, P: float, Q: float,
     table = _require_table(table)
     om = np.zeros(hi - lo + 1, dtype=np.int32)
 
-    def visit(p, k, pos):
+    def visit(p, sl, e):
         if P <= p <= Q:
-            om[pos] += 1
+            om[sl] += 1
 
     residual = window_apply(lo, hi, table, math.inf, visit)
     om[(residual > 1) & (residual >= P) & (residual <= Q)] += 1

@@ -36,7 +36,7 @@ def dickman_table(u_max: float = 20.0, step: float = 1e-3) -> DickmanTable:
     with rho = 1 on (0, 1]), discretized by the trapezoid rule.
 
     Every quadrature weight is nonnegative, so positivity survives down to
-    rho(20) ~ 1e-22 where a forward difference of the raw equation would
+    rho(20) ~ 2.5e-29 where a forward difference of the raw equation would
     drown in rounding.  1/step must be an integer so the grid meets the
     kinks of rho at integer u.
     """
@@ -75,12 +75,7 @@ def dickman(u: float, step: float = 1e-3, u_max: float = 20.0) -> float:
 def _smooth_mask(lo: int, hi: int, Y: float, q: int,
                  table: PrimeTable) -> np.ndarray:
     """Boolean mask over [lo, hi]: Y-smooth and coprime to q."""
-    root = math.isqrt(hi)
-
-    def visit(p, k, pos):
-        pass
-
-    residual = window_apply(lo, hi, table, min(Y, root), visit)
+    residual = window_apply(lo, hi, table, Y, lambda p, sl, e: None)
     mask = residual <= Y
     if q > 1:
         for p, _ in factor(q, table).factors:

@@ -20,7 +20,7 @@ from .characters import DirichletCharacter
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
 from .sieve import (PrimeTable, _require_table, euler_phi, factor,
-                    omega_between_range, omega_in_range)
+                    omega_between_range, omega_in_range, units_mod)
 
 MONITOR_CONSTANT = 4.0  # artifact choice for the monitored mean-value bound
 
@@ -233,8 +233,7 @@ def mean_value_ratio(q: int, a_values, M: int = 0,
     rhs = (phi + phi / q * N) * float((np.abs(a[coprime]) ** 2).sum())
 
     unit_mask = np.zeros(q, dtype=bool)
-    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1) if q > 1 else np.array([0])
-    unit_mask[units] = True
+    unit_mask[units_mod(q)] = True
     identity = phi * float((np.abs(class_sums[unit_mask]) ** 2).sum())
 
     if rhs > 0 and lhs > MONITOR_CONSTANT * rhs:

@@ -14,7 +14,7 @@ import numpy as np
 from .characters import characters
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
-from .sieve import PrimeTable, _require_table, euler_phi, factor
+from .sieve import PrimeTable, _require_table, euler_phi, factor, units_mod
 
 
 @dataclass
@@ -66,12 +66,6 @@ def _class_sums(f, q, x, table):
     return re + 1j * im
 
 
-def _units(q):
-    if q == 1:
-        return np.array([0])
-    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
-
-
 def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
                  T: float | None = None, grid_dt: float | None = None,
                  refine_tol: float = 1e-4,
@@ -106,7 +100,7 @@ def deviation(f: MultiplicativeFunction, q: int, x: float, chi1,
     phi = euler_phi(q, table)
     B = _class_sums(f, q, x, table)
     twisted_total = complex(np.conj(chi.table) @ B)
-    units = _units(q)
+    units = units_mod(q)
     devs = {}
     for a in units:
         devs[int(a)] = complex(B[a] - chi.table[a] / phi * twisted_total)
@@ -150,7 +144,7 @@ def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
     twisted = [complex(np.conj(c.table) @ B) for c in chis]
     lhs = math.fsum(abs(twisted[i]) ** 2 for i in range(phi) if i not in xi) / phi
     rhs_terms = []
-    for a in _units(q):
+    for a in units_mod(q):
         main = sum(chis[i].table[a] / phi * twisted[i] for i in xi)
         rhs_terms.append(abs(B[a] - main) ** 2)
     return lhs, math.fsum(rhs_terms)
@@ -189,7 +183,7 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
     tw = vals[lo_sum - 1 : hi_sum] * np.conj(chi.table[ns[lo_sum - 1 : hi_sum] % q])
     twisted_total = complex(tw.sum())
 
-    units = _units(q)
+    units = units_mod(q)
     # Per-class prefix sums: class a holds f at a, a+q, a+2q, ...
     prefixes = {}
     for a in units:

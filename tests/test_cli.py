@@ -123,6 +123,22 @@ def test_linnik_cli_and_resume(capsys, tmp_path):
     assert body_lines(out2) == lines
 
 
+def test_linnik_resume_respects_smaller_bound(capsys, tmp_path):
+    state = tmp_path / "scan.json"
+    base = ("linnik", "--q-range", "101:101", "--predicate", "e3",
+            "--sieve-limit", "10000", "--format", "json")
+    run(capsys, *base, "--bound-exponent", "3", "--resume", str(state))
+    stored = json.loads(state.read_text())
+    assert max(stored.values()) > round(101**1.2)  # minima beyond the smaller bound
+    _, fresh, _ = run(capsys, *base, "--bound-exponent", "1.2")
+    _, resumed, _ = run(capsys, *base, "--bound-exponent", "1.2", "--resume", str(state))
+    assert json.loads(resumed) == json.loads(fresh)
+    assert sum(r["n"] is None for r in json.loads(fresh)) == 49
+    # the smaller bound loses none of the stored minima, and no temporary remains
+    assert json.loads(state.read_text()) == stored
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.json"]
+
+
 def test_linnik_cli_workers(capsys):
     _, out1, _ = run(capsys, "linnik", "--q-range", "3:10", "--predicate",
                      "mobius-minus", "--sieve-limit", "10000")

@@ -56,6 +56,17 @@ def test_evaluate_range_matches_pointwise_all_builtins(table):
         assert np.abs(vals - pointwise).max() < 1e-12, f.name
 
 
+@pytest.mark.parametrize("lo,hi", [(1, 1), (2, 2), (4, 4),
+                                   (2**20 - 40, 2**20 + 40), (3**13 - 40, 3**13 + 40),
+                                   (10**9 - 40, 10**9 + 40), (2**33 - 20, 2**33 + 20),
+                                   (10**10 - 60, 10**10)])
+def test_evaluate_range_edge_windows(table, lo, hi):
+    for f in pool():
+        vals = evaluate_range(f, lo, hi, table)
+        pointwise = np.array([f(n, table) for n in range(lo, hi + 1)])
+        assert np.abs(vals - pointwise).max() < 1e-12, (f.name, lo)
+
+
 def test_boundedness_over_large_range(table):
     for f in pool():
         vals = evaluate_range(f, 1, 100_000, table)

@@ -4,7 +4,16 @@ import random
 import pytest
 
 from progvar import CapacityError, DomainError, PrimeTable, euler_phi, factor, mobius, omega_in_range, prime_bounds
-from progvar.sieve import big_omega_range, mobius_range, omega_range
+from progvar.sieve import (big_omega_range, mobius_range, omega_between_range,
+                           omega_range)
+from progvar.smooth import _smooth_mask
+
+# Windows for the interval kernel: single points, deep prime powers
+# (2^20, 3^13, 2^33) and the top of the 1e5 table's coverage (1e10).
+EDGE_WINDOWS = [(1, 1), (2, 2), (4, 4),
+                (2**20 - 40, 2**20 + 40), (3**13 - 40, 3**13 + 40),
+                (10**9 - 40, 10**9 + 40), (2**33 - 20, 2**33 + 20),
+                (10**10 - 60, 10**10)]
 
 
 def trial_factor(n):
@@ -119,6 +128,35 @@ def test_interval_arrays_offset_window(table):
     mu = mobius_range(lo, hi, table)
     for n in (99_901, 99_990, 100_003, 100_100):
         assert mu[n - lo] == mobius(n, table)
+
+
+@pytest.mark.parametrize("lo,hi", EDGE_WINDOWS)
+def test_interval_arrays_edge_windows(table, lo, hi):
+    mu = mobius_range(lo, hi, table)
+    om = big_omega_range(lo, hi, table)
+    om_d = omega_range(lo, hi, table)
+    between = {(P, Q): omega_between_range(lo, hi, P, Q, table)
+               for P, Q in ((2, 2), (3, 100), (50, 1e12))}
+    for n in range(lo, hi + 1):
+        f = factor(n, table)
+        assert mu[n - lo] == mobius(n, table), n
+        assert om[n - lo] == f.big_omega, n
+        assert om_d[n - lo] == f.omega, n
+        for (P, Q), arr in between.items():
+            assert arr[n - lo] == omega_in_range(n, P, Q, table), (n, P, Q)
+
+
+@pytest.mark.parametrize("lo,hi,Y", [(2**20 - 300, 2**20 + 300, 100),
+                                     (10**9 - 300, 10**9 + 300, 1000),
+                                     (10**10 - 300, 10**10, 10**4)])
+def test_smooth_mask_below_sqrt_matches_brute(table, lo, hi, Y):
+    assert Y < math.isqrt(hi)  # the pass stops short of sqrt(hi)
+    for q in (1, 6, 35):
+        mask = _smooth_mask(lo, hi, Y, q, table)
+        brute = [n for n in range(lo, hi + 1)
+                 if prime_bounds(n, table)[1] <= Y and math.gcd(n, q) == 1]
+        assert int(mask.sum()) == len(brute) > 0, (lo, Y, q)
+        assert (mask.nonzero()[0] + lo).tolist() == brute
 
 
 def test_prime_table_lookup(table):
