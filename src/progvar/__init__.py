@@ -12,8 +12,8 @@ from .linnik import (LinnikScanResult, e3_least, e3_star_logsum, least_qnr,
                      linnik_L3, linnik_mobius, mobius_least, ternary_coverage)
 from .multfunc import (MultiplicativeFunction, builtin, evaluate_range,
                        parse_descriptor, restrict_smooth)
-from .pretentious import (MainCharacterSelection, distance_sq, distance_sq_range,
-                          halasz_M, select_main_character)
+from .pretentious import (MainCharacterSelection, distance_sq, halasz_M,
+                          select_main_character)
 from .sieve import (PrimeFactorization, PrimeTable, default_table, euler_phi,
                     factor, mobius, omega_in_range, prime_bounds)
 from .smooth import (DickmanTable, ThetaLadder, canonical_factorization, dickman,

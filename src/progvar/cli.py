@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import linnik as linnik_mod
 from . import sieve
@@ -176,10 +175,8 @@ def _cmd_linnik(args):
         return linnik_mod.linnik_mobius(q, sign, bound)
 
     rows = []
-    qs = list(range(lo, hi + 1))
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(scan_one, qs))
-    for q, res in zip(qs, results):
+    for q in range(lo, hi + 1):
+        res = scan_one(q)
         for a, n in sorted(res.minima.items()):
             key = _resume_key(q, a, args.predicate)
             # a minimum found earlier under a larger bound stays on record
@@ -260,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="file path; stdout when omitted")
         p.add_argument("--config", default=None, help="key=value file seeding these options")
         p.add_argument("--sieve-limit", type=_positive_int, default=None)
-        p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("variance", help="deviation/variance report per modulus")
     p.add_argument("--f", required=True, help="function descriptor, e.g. mobius")

@@ -1,7 +1,7 @@
 """Pretentious distances over primes and the minimizing (character, twist).
 
-distance_sq(f, g; x, q) = sum over p <= x, p coprime to q, of
-(1 - Re f(p) conj(g(p)))/p.  The selection problem minimizes, over all
+distance_sq(f, g; x, q) = sum over y < p <= x (y = 1 by default), p coprime
+to q, of (1 - Re f(p) conj(g(p)))/p.  The selection problem minimizes, over all
 characters chi mod q and |t| <= T, the distance from f to chi(n) n^{it}.
 
 Grid strategy: the distance as a function of t is a sum of cos(t log p)/p
@@ -10,8 +10,8 @@ min(0.05, 1/log x); the best grid cell is then refined by golden-section
 search (local unimodality assumed; acceptance checks against a dense-grid
 oracle).  On the grid, all phi(q) characters are handled at once: prime
 contributions are bucketed by residue class and transformed by a DFT over
-the unit-group component lattice.  Reported minima are recomputed from
-scratch with compensated summation.
+the unit-group component lattice; halasz_M is the single-character case.
+Reported minima are recomputed from scratch with compensated summation.
 """
 
 from __future__ import annotations
@@ -41,10 +41,14 @@ class MainCharacterSelection:
     trace: tuple[tuple[float, float], ...]  # (t, distance^2) at evaluated grid points
 
 
-def _prime_data(f, x, q, table):
-    """primes p <= x with p coprime to q, f(p), log p, and sum 1/p."""
+def _prime_data(f, x, q, y, table):
+    """primes y < p <= x with p coprime to q, f(p), log p, 1/p and sum 1/p."""
+    if x < 2:
+        raise DomainError(f"need x >= 2, got {x}")
+    if y > x:
+        raise DomainError(f"need y <= x, got y={y}, x={x}")
     table = _require_table(table)
-    primes = table.primes_in(2, x)
+    primes = table.primes_in(math.floor(y) + 1, x)
     if q > 1:
         primes = primes[np.gcd(primes, q) == 1]
     fp = f.at_primes(primes)
@@ -54,35 +58,21 @@ def _prime_data(f, x, q, table):
     return primes, fp, logp, inv, const
 
 
+def _fsum_distance(prod, inv):
+    """sum of (1 - Re prod_p)/p with compensated summation, clamped at 0."""
+    return max(0.0, math.fsum(((1.0 - prod.real) * inv).tolist()))
+
+
 def distance_sq(f: MultiplicativeFunction, g: MultiplicativeFunction,
-                x: float, q: int = 1, *, g_twist: float = 0.0,
+                x: float, q: int = 1, *, y: float = 1, g_twist: float = 0.0,
                 table: PrimeTable | None = None) -> float:
-    """Squared pretentious distance between f and g(n) n^{i g_twist} up to x,
-    omitting primes dividing q.  Compensated summation, clamped at 0."""
-    if x < 2:
-        raise DomainError(f"need x >= 2, got {x}")
-    primes, fp, logp, inv, _ = _prime_data(f, x, q, table)
+    """Squared pretentious distance between f and g(n) n^{i g_twist} over
+    primes y < p <= x, omitting primes dividing q."""
+    primes, fp, logp, inv, _ = _prime_data(f, x, q, y, table)
     gp = g.at_primes(primes)
     if g_twist != 0.0:
         gp = gp * np.exp(1j * g_twist * logp)
-    terms = (1.0 - (fp * np.conj(gp)).real) * inv
-    return max(0.0, math.fsum(terms.tolist()))
-
-
-def distance_sq_range(f: MultiplicativeFunction, g: MultiplicativeFunction,
-                      y: float, x: float, table: PrimeTable | None = None) -> float:
-    """Distance restricted to primes y < p <= x."""
-    if y > x:
-        raise DomainError(f"need y <= x, got y={y}, x={x}")
-    table = _require_table(table)
-    primes = table.primes_in(math.floor(y) + 1, x)
-    if primes.size == 0:
-        return 0.0
-    fp = f.at_primes(primes)
-    gp = g.at_primes(primes)
-    inv = 1.0 / primes.astype(float)
-    terms = (1.0 - (fp * np.conj(gp)).real) * inv
-    return max(0.0, math.fsum(terms.tolist()))
+    return _fsum_distance(fp * np.conj(gp), inv)
 
 
 def default_grid_dt(x: float) -> float:
@@ -92,6 +82,37 @@ def default_grid_dt(x: float) -> float:
 def _grid(T: float, dt: float) -> np.ndarray:
     k = int(math.floor(T / dt + 1e-12))
     return dt * np.arange(-k, k + 1)
+
+
+def _twist_grid(x, T, grid_dt):
+    """Checked grid spacing dt and the grid of twists j dt with |t| <= T."""
+    if not 0 <= T < math.inf:
+        raise DomainError(f"need finite T >= 0, got {T}")
+    dt = grid_dt if grid_dt is not None else default_grid_dt(x)
+    if not 0 < dt < math.inf:
+        raise DomainError(f"need finite grid_dt > 0, got {grid_dt}")
+    return dt, _grid(T, dt) if T > 0 else np.zeros(1)
+
+
+def _phases(w, logp, ts, dt):
+    """w_p p^{-it} at each grid point t in turn, by phase recurrence.  The
+    yielded array is updated in place for the next point."""
+    cur = w * np.exp(-1j * ts[0] * logp)
+    step = np.exp(-1j * dt * logp)
+    for _ in ts:
+        yield cur
+        cur *= step
+
+
+def _twist_row(w, logp, ts, dt, const):
+    """const - Re sum_p w_p p^{-it} at every grid point t."""
+    return np.array([const - cur.real.sum() for cur in _phases(w, logp, ts, dt)])
+
+
+def _grid_argmin(ts, *values):
+    """Grid index with the smallest values, compared in the order given;
+    ties go to the smaller |t|, then to negative t."""
+    return int(np.lexsort((ts > 0, np.abs(ts)) + values[::-1])[0])
 
 
 def _golden_refine(func, a, b, tol):
@@ -115,41 +136,34 @@ def _golden_refine(func, a, b, tol):
     return min(evals, key=lambda e: (e[1], abs(e[0]), e[0] > 0))
 
 
+def _best_twist(w, logp, const, t, d, dt, T, refine_tol):
+    """Refine the grid minimum d at t of const - Re sum_p w_p p^{-it} over the
+    neighbouring cells within |t| <= T.  Returns the better twist and the
+    refined (t, value), or None when no refinement ran."""
+    lo = max(-T, t - dt)
+    hi = min(T, t + dt)
+    if not (hi > lo and refine_tol > 0):
+        return t, None
+
+    def dist_at(s):
+        return const - (w * np.exp(-1j * s * logp)).real.sum()
+
+    rt, rd = _golden_refine(dist_at, lo, hi, refine_tol)
+    return (float(rt) if rd < d else t), (float(rt), float(rd))
+
+
 def halasz_M(f: MultiplicativeFunction, x: float, T: float, q: int = 1,
              grid_dt: float | None = None, refine_tol: float = 1e-4,
              table: PrimeTable | None = None) -> tuple[float, float]:
     """Approximate inf over |t| <= T of distance_sq(f, n^{it}; x, q), with the
     minimizing t.  Grid scan plus golden-section refinement of the best cell."""
-    if T < 0:
-        raise DomainError(f"need T >= 0, got {T}")
-    table = _require_table(table)
-    primes, fp, logp, inv, const = _prime_data(f, x, q, table)
+    _, fp, logp, inv, const = _prime_data(f, x, q, 1, table)
+    dt, ts = _twist_grid(x, T, grid_dt)
     w = fp * inv
-    dt = grid_dt if grid_dt is not None else default_grid_dt(x)
-    ts = _grid(T, dt) if T > 0 else np.zeros(1)
-
-    def dist_at(t):
-        corr = (w * np.exp(-1j * t * logp)).real.sum()
-        return const - corr
-
-    # Phase recurrence over the equally spaced grid.
-    cur = w * np.exp(-1j * ts[0] * logp)
-    step = np.exp(-1j * dt * logp)
-    best_t, best_d = 0.0, math.inf
-    for t in ts:
-        d = const - cur.real.sum()
-        if (d, abs(t), t > 0) < (best_d, abs(best_t), best_t > 0):
-            best_t, best_d = float(t), d
-        cur *= step
-    lo = max(-T, best_t - dt)
-    hi = min(T, best_t + dt)
-    if hi > lo and refine_tol > 0:
-        rt, rd = _golden_refine(dist_at, lo, hi, refine_tol)
-        if rd < best_d:
-            best_t, best_d = float(rt), rd
-    # Recompute the reported value with compensated summation.
-    final = max(0.0, math.fsum(((1.0 - (fp * np.exp(-1j * best_t * logp)).real) * inv).tolist()))
-    return final, best_t
+    row = _twist_row(w, logp, ts, dt, const)
+    i = _grid_argmin(ts, row)
+    t, _ = _best_twist(w, logp, const, float(ts[i]), row[i], dt, T, refine_tol)
+    return _fsum_distance(fp * np.exp(-1j * t * logp), inv), t
 
 
 def select_main_character(f: MultiplicativeFunction, q: int, x: float,
@@ -159,73 +173,44 @@ def select_main_character(f: MultiplicativeFunction, q: int, x: float,
     """Minimize (chi, t) -> distance_sq(f, chi(n) n^{it}; x, q) over all
     characters mod q and |t| <= T (default log x).  Ties break toward the
     smaller character index, then smaller |t|, then negative t."""
-    if x < 2:
-        raise DomainError(f"need x >= 2, got {x}")
-    table = _require_table(table)
+    primes, fp, logp, inv, const = _prime_data(f, x, q, 1, table)
     if T is None:
         T = math.log(x)
+    dt, ts = _twist_grid(x, T, grid_dt)
     group = unit_group(q)
-    primes, fp, logp, inv, const = _prime_data(f, x, q, table)
     w = fp * inv
     ridx = group.lattice_index[primes % q]
-    shape = group.lattice_shape
     phi = group.phi
-    dt = grid_dt if grid_dt is not None else default_grid_dt(x)
-    ts = _grid(T, dt) if T > 0 else np.zeros(1)
 
     # Grid scan: bucket prime contributions by unit-lattice cell, then one
     # DFT over the component lattice yields sum_p f(p) conj(chi(p)) p^{-it}/p
     # for every character at once.
-    step = np.exp(-1j * dt * logp)
-    cur = w * np.exp(-1j * ts[0] * logp)
     keep_all = phi * len(ts) <= KEEP_ALL_LIMIT
     dist_rows = np.empty((len(ts), phi)) if keep_all else None
-    best = (math.inf, 0, 0.0, False)  # (distance, chi index, |t|, t>0)
-    best_t = 0.0
-    for i, t in enumerate(ts):
+    mins = np.empty(len(ts))
+    argmins = np.empty(len(ts), dtype=np.intp)
+    for i, cur in enumerate(_phases(w, logp, ts, dt)):
         re = np.bincount(ridx, weights=cur.real, minlength=phi)
         im = np.bincount(ridx, weights=cur.imag, minlength=phi)
-        spectrum = np.fft.fftn((re + 1j * im).reshape(shape)).real.ravel()
+        spectrum = np.fft.fftn((re + 1j * im).reshape(group.lattice_shape)).real.ravel()
         dists = const - spectrum
         if keep_all:
             dist_rows[i] = dists
-        j = int(np.argmin(dists))  # first minimum = smallest character index
-        key = (dists[j], j, abs(float(t)), float(t) > 0)
-        if key < best:
-            best = key
-            best_t = float(t)
-        cur *= step
-    chi_index = best[1]
-    chi = characters(q)[chi_index]
+        argmins[i] = np.argmin(dists)  # first minimum = smallest character index
+        mins[i] = dists[argmins[i]]
+    i = _grid_argmin(ts, mins, argmins)
+    chi_index = int(argmins[i])
+    chi_p = np.conj(characters(q)[chi_index].table[primes % q])
+    cw = w * chi_p
 
-    # Trace of the winning character over the grid.
-    cw = w * np.conj(chi.table[primes % q])
-    if keep_all:
-        trace_vals = dist_rows[:, chi_index]
-    else:
-        trace_vals = np.empty(len(ts))
-        cur = cw * np.exp(-1j * ts[0] * logp)
-        for i in range(len(ts)):
-            trace_vals[i] = const - cur.real.sum()
-            cur *= step
-
-    def dist_at(t):
-        return const - (cw * np.exp(-1j * t * logp)).real.sum()
-
-    t_star, d_star = best_t, best[0]
-    lo = max(-T, best_t - dt)
-    hi = min(T, best_t + dt)
-    refined = []
-    if hi > lo and refine_tol > 0:
-        rt, rd = _golden_refine(dist_at, lo, hi, refine_tol)
-        refined.append((float(rt), float(rd)))
-        if rd < d_star:
-            t_star, d_star = float(rt), rd
-    final = max(0.0, math.fsum(
-        ((1.0 - (fp * np.conj(chi.table[primes % q]) * np.exp(-1j * t_star * logp)).real) * inv).tolist()
-    ))
-    trace = [(float(t), float(d)) for t, d in zip(ts, trace_vals)]
-    trace.extend(refined)
+    # Trace of the winning character over the grid; above KEEP_ALL_LIMIT it
+    # is recomputed by a second pass instead of kept from the scan.
+    row = dist_rows[:, chi_index] if keep_all else _twist_row(cw, logp, ts, dt, const)
+    t_star, refined = _best_twist(cw, logp, const, float(ts[i]), mins[i], dt, T, refine_tol)
+    final = _fsum_distance(fp * chi_p * np.exp(-1j * t_star * logp), inv)
+    trace = [(float(t), float(d)) for t, d in zip(ts, row)]
+    if refined is not None:
+        trace.append(refined)
     # Keep the recomputed value as the t_star entry so the trace is consistent.
     trace = [(t, final if t == t_star else d) for t, d in trace]
     return MainCharacterSelection(chi_index, t_star, final, tuple(trace))

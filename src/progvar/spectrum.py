@@ -46,6 +46,14 @@ def _coeff_values(coeffs, primes: np.ndarray) -> np.ndarray:
     return np.array([coeffs(int(p)) for p in primes], dtype=np.complex128)
 
 
+def _twisted(a: np.ndarray, ns: np.ndarray, chi: DirichletCharacter, t: float) -> np.ndarray:
+    """a_n conj(chi(n)) n^{-it} for each n in ns."""
+    vals = a * np.conj(chi.table[ns % chi.q])
+    if t != 0.0:
+        vals = vals * np.exp(-1j * t * np.log(ns.astype(float)))
+    return vals
+
+
 def prime_char_sum(chi: DirichletCharacter, t: float, P: float, delta: float,
                    coeffs, table: PrimeTable | None = None) -> complex:
     """sum over primes P <= p <= (1+delta)P of a_p conj(chi(p)) p^{-it}."""
@@ -55,11 +63,7 @@ def prime_char_sum(chi: DirichletCharacter, t: float, P: float, delta: float,
     primes = table.primes_in(P, (1 + delta) * P)
     if primes.size == 0:
         return 0j
-    a = _coeff_values(coeffs, primes)
-    vals = a * np.conj(chi.table[primes % chi.q])
-    if t != 0.0:
-        vals = vals * np.exp(-1j * t * np.log(primes.astype(float)))
-    return complex(vals.sum())
+    return complex(_twisted(_coeff_values(coeffs, primes), primes, chi, t).sum())
 
 
 def log_prime_char_sum(chi: DirichletCharacter, t: float, P: float, eps_exp: float,
@@ -185,20 +189,14 @@ def decomposition_sums(f: MultiplicativeFunction, chi: DirichletCharacter,
     if lo_p <= hi_p:
         primes = table.primes_in(lo_p, hi_p)
         if primes.size:
-            vals = f.at_primes(primes) * np.conj(chi.table[primes % chi.q])
-            if t != 0.0:
-                vals = vals * np.exp(-1j * t * np.log(primes.astype(float)))
-            qv = complex(vals.sum())
+            qv = complex(_twisted(f.at_primes(primes), primes, chi, t).sum())
 
     m_lo = math.ceil(X * math.exp(-v / H))
     m_hi = math.floor(2 * X * math.exp(-v / H))
     rv = 0j
     if m_lo <= m_hi:
-        vals = evaluate_range(f, m_lo, m_hi, table)
         ms = np.arange(m_lo, m_hi + 1)
-        vals = vals * np.conj(chi.table[ms % chi.q])
-        if t != 0.0:
-            vals = vals * np.exp(-1j * t * np.log(ms.astype(float)))
+        vals = _twisted(evaluate_range(f, m_lo, m_hi, table), ms, chi, t)
         weights = 1.0 / (1 + omega_between_range(m_lo, m_hi, P, Q, table))
         rv = complex((vals * weights).sum())
     return qv, rv

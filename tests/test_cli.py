@@ -139,12 +139,21 @@ def test_linnik_resume_respects_smaller_bound(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["scan.json"]
 
 
-def test_linnik_cli_workers(capsys):
-    _, out1, _ = run(capsys, "linnik", "--q-range", "3:10", "--predicate",
-                     "mobius-minus", "--sieve-limit", "10000")
-    _, out4, _ = run(capsys, "linnik", "--q-range", "3:10", "--predicate",
-                     "mobius-minus", "--workers", "4", "--sieve-limit", "10000")
-    assert body_lines(out1) == body_lines(out4)
+def test_workers_option_is_gone(capsys):
+    code, _, err = run(capsys, "linnik", "--q-range", "3:10", "--predicate",
+                       "mobius-minus", "--workers", "4", "--sieve-limit", "10000")
+    assert code == 2
+    assert "--workers" in err
+
+
+@pytest.mark.parametrize("bad", [("--grid-dt", "0"), ("--grid-dt", "-0.1"),
+                                 ("--grid-dt", "nan"), ("--T", "-1")])
+def test_invalid_twist_grid_exits_2(capsys, bad):
+    code, out, err = run(capsys, "variance", "--f", "mobius", "--q", "5", "--x", "1000",
+                         "--chi1", "auto", *bad, "--sieve-limit", "10000")
+    assert code == 2
+    assert out == ""
+    assert "progvar: invalid arguments" in err
 
 
 def test_smooth_cli(capsys):

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from progvar import (DomainError, builtin, characters, distance_sq,
-                     distance_sq_range, halasz_M, select_main_character)
+from progvar import (DomainError, builtin, characters, distance_sq, halasz_M,
+                     parse_descriptor, select_main_character)
 from progvar.pretentious import default_grid_dt
 
 
@@ -32,11 +32,11 @@ def test_distance_examples(table):
 
 def test_distance_range_examples(table):
     mob, one = builtin("mobius"), builtin("one")
-    assert distance_sq_range(one, one, 2, 10, table) == 0.0
-    assert abs(distance_sq_range(mob, one, 5, 10, table) - 2 / 7) < 1e-12
-    assert distance_sq_range(mob, one, 50, 50, table) == 0.0
+    assert distance_sq(one, one, 10, y=2, table=table) == 0.0
+    assert abs(distance_sq(mob, one, 10, y=5, table=table) - 2 / 7) < 1e-12
+    assert distance_sq(mob, one, 50, y=50, table=table) == 0.0
     with pytest.raises(DomainError):
-        distance_sq_range(mob, one, 10, 5, table)
+        distance_sq(mob, one, 5, y=10, table=table)
 
 
 def test_triangle_inequality_random_triples(table):
@@ -89,6 +89,31 @@ def test_halasz_matches_dense_grid_oracle(table):
     assert abs(M - dense) < 1e-3
 
 
+@pytest.mark.parametrize("x, T, grid_dt", [
+    (1000, 1.0, 0.0), (1000, 1.0, -0.1), (1000, 1.0, math.nan), (1000, 1.0, math.inf),
+    (1000, -1.0, None), (1000, math.nan, None), (1000, math.inf, None),
+    (1, 1.0, None), (1.5, 1.0, None),
+])
+def test_invalid_twist_grid_raises(table, x, T, grid_dt):
+    mob = builtin("mobius")
+    with pytest.raises(DomainError):
+        halasz_M(mob, x, T, 1, grid_dt=grid_dt, table=table)
+    with pytest.raises(DomainError):
+        select_main_character(mob, 5, x, T, grid_dt=grid_dt, table=table)
+
+
+@pytest.mark.parametrize("name", ["mobius", "liouville", "nit_twist:0.5"])
+def test_halasz_is_selection_at_q1(table, name):
+    f = parse_descriptor(name)
+    x = 10_000
+    T = math.log(x)
+    M, t = halasz_M(f, x, T, 1, table=table)
+    sel = select_main_character(f, 1, x, T, table=table)
+    assert sel.chi_index == 0
+    assert sel.t_star == t
+    assert abs(sel.distance_sq - M) < 1e-12
+
+
 def test_select_planted_character_all_q_upto_50(table):
     for q in range(1, 51):
         for chi in characters(q):
@@ -135,7 +160,7 @@ def test_selection_trace_invariants(table):
 
 
 def test_selection_two_pass_fallback_matches(table, monkeypatch):
-    # force the low-memory path and check it agrees with the cached one
+    # force the second-pass trace and check it agrees with the kept scan rows
     import progvar.pretentious as pret
 
     mob = builtin("mobius")
