@@ -9,7 +9,8 @@ from .characters import (CharacterFlags, DirichletCharacter, UnitGroupStructure,
                          characters, classify, eval_character, unit_group)
 from .errors import CapacityError, DomainError
 from .linnik import (LinnikScanResult, e3_least, e3_star_logsum, least_qnr,
-                     linnik_L3, linnik_mobius, mobius_least, ternary_coverage)
+                     linnik_L3, linnik_mobius, linnik_scan, mobius_least,
+                     ternary_coverage)
 from .multfunc import (MultiplicativeFunction, builtin, evaluate_range,
                        parse_descriptor, restrict_smooth)
 from .pretentious import (MainCharacterSelection, distance_sq, halasz_M,

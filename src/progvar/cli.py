@@ -38,7 +38,8 @@ def _emit(args, fieldnames, rows, payload=None):
     try:
         if args.format == "json":
             doc = payload if payload is not None else rows
-            json.dump(doc, out, ensure_ascii=False)
+            # dumps runs the C encoder; dump streams through pure Python
+            out.write(json.dumps(doc, ensure_ascii=False))
             out.write("\n")
         else:
             out.write(SCHEMA + "\n")
@@ -153,37 +154,37 @@ def _resume_key(q, a, predicate):
 
 def _cmd_linnik(args):
     lo, hi = args.q_range
-    state = {}
+    qs = range(lo, hi + 1)
+    bounds = {q: max(8, int(round(q**args.bound_exponent))) for q in qs}
+    results = {}
+    state = None
     if args.resume:
         try:
             with open(args.resume, "r", encoding="utf-8") as fh:
                 state = json.load(fh)
         except FileNotFoundError:
             state = {}
-
-    def scan_one(q):
-        bound = max(8, int(round(q**args.bound_exponent)))
-        units = sieve.units_mod(q).tolist()
-        known = {a: state.get(_resume_key(q, a, args.predicate)) for a in units}
-        # A stored minimum answers this run only when it lies within the bound.
-        if all(isinstance(n, int) and n <= bound for n in known.values()):
-            return linnik_mod._assemble(q, args.predicate, bound, known)
-        if args.predicate in ("e3", "e3-distinct"):
-            return linnik_mod.linnik_L3(q, bound,
-                                        distinct_primes=args.predicate == "e3-distinct")
-        sign = -1 if args.predicate == "mobius-minus" else 1
-        return linnik_mod.linnik_mobius(q, sign, bound)
+        for q in qs:
+            known = {a: state.get(_resume_key(q, a, args.predicate))
+                     for a in sieve.units_mod(q).tolist()}
+            # A stored minimum answers this run only when it lies within the bound.
+            if all(isinstance(n, int) and n <= bounds[q] for n in known.values()):
+                results[q] = linnik_mod._assemble(q, args.predicate, bounds[q], known)
+    todo = [q for q in qs if q not in results]
+    for res in linnik_mod.linnik_scan(todo, [bounds[q] for q in todo], args.predicate):
+        results[res.q] = res
 
     rows = []
-    for q in range(lo, hi + 1):
-        res = scan_one(q)
-        for a, n in sorted(res.minima.items()):
-            key = _resume_key(q, a, args.predicate)
-            # a minimum found earlier under a larger bound stays on record
-            state[key] = n if n is not None else state.get(key, "pending")
-            exponent = math.log(n) / math.log(q) if n is not None and q > 1 else None
+    for q in qs:
+        log_q = math.log(q)
+        for a, n in sorted(results[q].minima.items()):
+            if state is not None:
+                key = _resume_key(q, a, args.predicate)
+                # a minimum found earlier under a larger bound stays on record
+                state[key] = n if n is not None else state.get(key, "pending")
+            exponent = math.log(n) / log_q if n is not None and q > 1 else None
             rows.append({"q": q, "a": a, "n": n, "exponent": exponent})
-    if args.resume:
+    if state is not None:
         # Write beside the state and rename, so it is never left half-written.
         tmp = args.resume + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -4,9 +4,12 @@ primes, prescribed Mobius sign, range-restricted triple products weighted by
 
 Scans step through blocks of the line (default 1e5) with the interval sieve
 and record the first qualifying element of each coprime class, so memory
-stays flat for large q.  Prime factors are counted with multiplicity for the
-three-prime predicate (8 = 2^3 qualifies); pass distinct_primes=True for the
-squarefree variant.
+stays flat for large q.  One scan serves many moduli: each block is sieved
+once, and its witnesses update every modulus that still has open classes
+below its bound, so a q-range costs the blocks of its slowest modulus
+rather than one pass per modulus.  Prime factors are counted with
+multiplicity for the three-prime predicate (8 = 2^3 qualifies); pass
+distinct_primes=True for the squarefree variant.
 """
 
 from __future__ import annotations
@@ -54,14 +57,14 @@ class LinnikScanResult:
         )
 
 
-def _qualifier(predicate: str, distinct_primes: bool = False):
+def _qualifier(predicate: str):
     if predicate == "e3":
-        if distinct_primes:
-            return lambda lo, hi, table: (
-                (big_omega_range(lo, hi, table) == 3)
-                & (omega_range(lo, hi, table) == 3)
-            )
         return lambda lo, hi, table: big_omega_range(lo, hi, table) == 3
+    if predicate == "e3-distinct":
+        return lambda lo, hi, table: (
+            (big_omega_range(lo, hi, table) == 3)
+            & (omega_range(lo, hi, table) == 3)
+        )
     if predicate == "mobius-minus":
         return lambda lo, hi, table: mobius_range(lo, hi, table) == -1
     if predicate == "mobius-plus":
@@ -69,48 +72,61 @@ def _qualifier(predicate: str, distinct_primes: bool = False):
     raise DomainError(f"unknown predicate {predicate!r}")
 
 
-def _scan(q: int, bound: int, qualifies, wanted: set[int],
-          table: PrimeTable) -> dict[int, int]:
-    """First qualifying n per residue class in `wanted`, scanning blocks."""
-    found: dict[int, int] = {}
+def _mobius_predicate(sign: int) -> str:
+    if sign not in (-1, 1):
+        raise DomainError(f"sign must be +-1, got {sign}")
+    return "mobius-minus" if sign == -1 else "mobius-plus"
+
+
+def _scan(qs: list[int], bounds: list[int], wanted: list[set[int]], qualifies,
+          table: PrimeTable) -> list[dict[int, int]]:
+    """First qualifying n <= bounds[i] in each class of wanted[i] mod qs[i].
+
+    Blocks run from 1 up to the largest bound still open; each is sieved
+    once and its witnesses serve every modulus that still has open classes
+    and has not passed its bound.  The sets in `wanted` are emptied as
+    classes are found.
+    """
+    found: list[dict[int, int]] = [{} for _ in qs]
+    open_ = [i for i in range(len(qs)) if wanted[i] and bounds[i] >= 1]
     lo = 1
-    while lo <= bound and wanted:
-        hi = min(lo + BLOCK - 1, bound)
-        mask = qualifies(lo, hi, table)
-        ns = np.flatnonzero(mask) + lo
-        if ns.size:
-            classes, first = np.unique(ns % q, return_index=True)
-            for r, i in zip(classes, first):
-                r = int(r)
-                if r in wanted:
-                    found[r] = int(ns[i])
-                    wanted.discard(r)
+    while open_:
+        hi = min(lo + BLOCK - 1, max(bounds[i] for i in open_))
+        ns = np.flatnonzero(qualifies(lo, hi, table)) + lo
+        for i in open_:
+            q, todo = qs[i], wanted[i]
+            hits = ns[:np.searchsorted(ns, bounds[i], side="right")]
+            # least hit of each class in this block; hi + 1 where none
+            first = np.full(q, hi + 1, dtype=ns.dtype)
+            np.minimum.at(first, hits % q, hits)
+            for a in [a for a in todo if first[a] <= hi]:
+                found[i][a] = int(first[a])
+                todo.discard(a)
+        open_ = [i for i in open_ if wanted[i] and bounds[i] > hi]
         lo = hi + 1
     return found
+
+
+def _least(q: int, a: int, bound: int, predicate: str,
+           table: PrimeTable | None) -> int | None:
+    table = _require_table(table)
+    if math.gcd(a, q) != 1:
+        raise DomainError(f"class {a} not coprime to {q}")
+    found = _scan([q], [bound], [{a % q}], _qualifier(predicate), table)
+    return found[0].get(a % q)
 
 
 def e3_least(q: int, a: int, bound: int, distinct_primes: bool = False,
              table: PrimeTable | None = None) -> int | None:
     """Least n <= bound, n = a (mod q), with exactly three prime factors
     counted with multiplicity."""
-    table = _require_table(table)
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"class {a} not coprime to {q}")
-    found = _scan(q, bound, _qualifier("e3", distinct_primes), {a % q}, table)
-    return found.get(a % q)
+    return _least(q, a, bound, "e3-distinct" if distinct_primes else "e3", table)
 
 
 def mobius_least(q: int, a: int, sign: int, bound: int,
                  table: PrimeTable | None = None) -> int | None:
     """Least n <= bound, n = a (mod q), with mu(n) = sign."""
-    table = _require_table(table)
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"class {a} not coprime to {q}")
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be +-1, got {sign}")
-    pred = "mobius-minus" if sign == -1 else "mobius-plus"
-    found = _scan(q, bound, _qualifier(pred), {a % q}, table)
-    return found.get(a % q)
+    return _least(q, a, bound, _mobius_predicate(sign), table)
 
 
 def _assemble(q, predicate, bound, minima) -> LinnikScanResult:
@@ -123,27 +139,33 @@ def _assemble(q, predicate, bound, minima) -> LinnikScanResult:
                             minima=minima, max_value=max_value, exponent=exponent)
 
 
+def linnik_scan(qs, bounds, predicate: str,
+                table: PrimeTable | None = None) -> list[LinnikScanResult]:
+    """Least n <= bound satisfying `predicate` ("e3", "e3-distinct",
+    "mobius-minus" or "mobius-plus") in every coprime class, for each
+    modulus of `qs` with its bound from `bounds`; results in the order of
+    `qs`.  One sieve pass per block serves every modulus still open."""
+    table = _require_table(table)
+    qs, bounds = list(qs), list(bounds)
+    if len(qs) != len(bounds):
+        raise DomainError(f"{len(qs)} moduli but {len(bounds)} bounds")
+    qualifies = _qualifier(predicate)
+    units = [units_mod(q).tolist() for q in qs]
+    found = _scan(qs, bounds, [set(u) for u in units], qualifies, table)
+    return [_assemble(q, predicate, bound, {a: f.get(a) for a in u})
+            for q, bound, u, f in zip(qs, bounds, units, found)]
+
+
 def linnik_L3(q: int, bound: int, distinct_primes: bool = False,
               table: PrimeTable | None = None) -> LinnikScanResult:
     """Least three-prime-product per coprime class; max over classes."""
-    table = _require_table(table)
-    units = units_mod(q).tolist()
-    found = _scan(q, bound, _qualifier("e3", distinct_primes), set(units), table)
-    minima = {a: found.get(a) for a in units}
     name = "e3-distinct" if distinct_primes else "e3"
-    return _assemble(q, name, bound, minima)
+    return linnik_scan([q], [bound], name, table)[0]
 
 
 def linnik_mobius(q: int, sign: int, bound: int,
                   table: PrimeTable | None = None) -> LinnikScanResult:
-    table = _require_table(table)
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be +-1, got {sign}")
-    pred = "mobius-minus" if sign == -1 else "mobius-plus"
-    units = units_mod(q).tolist()
-    found = _scan(q, bound, _qualifier(pred), set(units), table)
-    minima = {a: found.get(a) for a in units}
-    return _assemble(q, pred, bound, minima)
+    return linnik_scan([q], [bound], _mobius_predicate(sign), table)[0]
 
 
 def e3_star_logsum(q: int, a: int, P1: float, P2: float, P3: float, eps: float,

@@ -1,7 +1,10 @@
+import argparse
 import json
+import math
 
 import pytest
 
+from progvar import cli, linnik
 from progvar.cli import main
 
 
@@ -137,6 +140,63 @@ def test_linnik_resume_respects_smaller_bound(capsys, tmp_path):
     # the smaller bound loses none of the stored minima, and no temporary remains
     assert json.loads(state.read_text()) == stored
     assert [p.name for p in tmp_path.iterdir()] == ["scan.json"]
+
+
+def test_linnik_partial_resume_matches_fresh_run(capsys, tmp_path, monkeypatch):
+    state = tmp_path / "scan.json"
+    base = ("linnik", "--predicate", "e3", "--bound-exponent", "3",
+            "--sieve-limit", "10000", "--format", "json")
+    run(capsys, *base, "--q-range", "5:9", "--resume", str(state))
+    stored = json.loads(state.read_text())
+    del stored["7:3:e3"]  # q = 7 is no longer fully answered
+    state.write_text(json.dumps(stored))
+    _, fresh, _ = run(capsys, *base, "--q-range", "3:12")
+    scanned = []
+    scan = linnik.linnik_scan
+
+    def recording(qs, bounds, predicate, table=None):
+        scanned.append(list(qs))
+        return scan(qs, bounds, predicate, table)
+
+    monkeypatch.setattr(linnik, "linnik_scan", recording)
+    _, resumed, _ = run(capsys, *base, "--q-range", "3:12", "--resume", str(state))
+    assert resumed == fresh
+    assert scanned == [[3, 4, 7, 10, 11, 12]]
+
+
+@pytest.mark.parametrize("block", [linnik.BLOCK, 997])
+def test_linnik_q_range_sieves_each_block_once(capsys, monkeypatch, block):
+    monkeypatch.setattr(linnik, "BLOCK", block)
+    calls = []
+    sieve_block = linnik.big_omega_range
+
+    def counting(lo, hi, table=None):
+        calls.append((lo, hi))
+        return sieve_block(lo, hi, table)
+
+    monkeypatch.setattr(linnik, "big_omega_range", counting)
+    code, out, _ = run(capsys, "linnik", "--q-range", "100:119", "--predicate", "e3",
+                       "--bound-exponent", "3", "--sieve-limit", "10000",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert all(r["n"] is not None for r in rows)
+    # the slowest modulus needs the blocks up to its largest minimum
+    slowest = max(math.ceil(r["n"] / block) for r in rows)
+    assert len(calls) == slowest
+    assert len(set(calls)) == len(calls)
+
+
+def test_emit_json_matches_json_dump(tmp_path):
+    doc = {"q": 7, "x": 1.0e7, "tiny": 5e-324, "third": 1 / 3, "nan": math.nan,
+           "neg": -0.0, "missing": None, "name": "Möbius μ(n) ≤ 1",
+           "rows": [{"a": 1, "n": None, "exponent": 2.5}, {"nested": {"b": [1.5, None]}}]}
+    path = tmp_path / "out.json"
+    cli._emit(argparse.Namespace(format="json", output=str(path)), [], [], doc)
+    with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, ensure_ascii=False)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_workers_option_is_gone(capsys):

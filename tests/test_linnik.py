@@ -4,7 +4,8 @@ import pytest
 
 from progvar import (DomainError, LinnikScanResult, characters, e3_least,
                      e3_star_logsum, factor, least_qnr, linnik_L3, linnik_mobius,
-                     mobius, mobius_least, ternary_coverage)
+                     linnik_scan, mobius, mobius_least, ternary_coverage)
+from progvar import linnik
 
 
 def trial_big_omega(n):
@@ -15,6 +16,30 @@ def trial_big_omega(n):
             c += 1
         p += 1
     return c + (1 if m > 1 else 0)
+
+
+def trial_factors(n):
+    """Prime factors of n with multiplicity, by trial division."""
+    out, m, p = [], n, 2
+    while p * p <= m:
+        while m % p == 0:
+            m //= p
+            out.append(p)
+        p += 1
+    return out + ([m] if m > 1 else [])
+
+
+def trial_mobius(n):
+    ps = trial_factors(n)
+    return 0 if len(set(ps)) < len(ps) else (-1) ** len(ps)
+
+
+ORACLE_PREDICATES = {
+    "e3": lambda n: trial_big_omega(n) == 3,
+    "e3-distinct": lambda n: len(set(trial_factors(n))) == len(trial_factors(n)) == 3,
+    "mobius-minus": lambda n: trial_mobius(n) == -1,
+    "mobius-plus": lambda n: trial_mobius(n) == 1,
+}
 
 
 def oracle_least(q, a, pred, bound):
@@ -59,6 +84,40 @@ def test_linnik_scan_witnesses_reverify(table):
         assert n is not None
         assert n % 12 == a
         assert factor(n, table).big_omega == 3
+
+
+@pytest.mark.parametrize("predicate", sorted(ORACLE_PREDICATES))
+def test_linnik_scan_matches_oracle(table, monkeypatch, predicate):
+    # A small prime block puts bounds and witnesses on and across block edges.
+    monkeypatch.setattr(linnik, "BLOCK", 97)
+    # the last entry repeats q = 38 with bound 195 = 2 * 97 + 1, where
+    # 195 = 3 * 5 * 13 is the least three-prime product = 5 (mod 38)
+    qs = list(range(1, 41)) + [38]
+    bounds = ([97, 194, 96, 98, 291, 1, 8] + [13 * q + 97 * (q % 7) for q in range(8, 41)]
+              + [195])
+    pred = ORACLE_PREDICATES[predicate]
+    results = linnik_scan(qs, bounds, predicate, table=table)
+    assert [res.q for res in results] == qs
+    complete = 0
+    for q, bound, res in zip(qs, bounds, results):
+        want = {a: oracle_least(q, a, pred, bound)
+                for a in range(q) if math.gcd(a, q) == 1}
+        assert res.minima == want, (q, bound)
+        assert (res.predicate, res.bound) == (predicate, bound)
+        if None in want.values():
+            assert res.max_value is None and res.exponent is None
+        else:
+            complete += 1
+            assert res.max_value == max(want.values())
+    assert 0 < complete < len(qs)  # both complete and short-bound moduli occur
+    assert linnik_scan([], [], predicate, table=table) == []
+
+
+def test_linnik_scan_rejects_bad_arguments(table):
+    with pytest.raises(DomainError):
+        linnik_scan([5, 6], [100], "e3", table=table)
+    with pytest.raises(DomainError):
+        linnik_scan([5], [100], "e4", table=table)
 
 
 def test_linnik_result_json_roundtrip(table):
