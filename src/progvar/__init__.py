@@ -25,6 +25,7 @@ from .spectrum import (RatioRecord, SpectrumPoint, decomposition_sums,
                        prime_char_sum, ramare_identity_check, ramare_weight,
                        sup_norm_scan)
 from .variance import (VarianceReport, delta_typicality, deviation,
-                       hybrid_variance, is_y_typical, parseval_check, variance)
+                       hybrid_variance, is_y_typical, parseval_check, variance,
+                       variance_scan)
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .errors import CapacityError, DomainError
 from .multfunc import parse_descriptor
 from .smooth import dickman, psi_q, smooth_recip_sum
 from .spectrum import large_value_census
-from .variance import hybrid_variance, parseval_check, variance
+from .variance import hybrid_variance, parseval_check, variance_scan
 
 SCHEMA = "# progvar-schema v1"
 
@@ -96,16 +96,11 @@ def _range_arg(text):
 
 def _cmd_variance(args):
     f = parse_descriptor(args.f)
-    reports = [variance(f, q, args.x, args.chi1, T=args.T, grid_dt=args.grid_dt,
-                        refine_tol=args.refine_tol) for q in args.q]
-    rows = [{
-        "q": rep.q, "x": rep.x, "f": rep.f, "chi1_index": rep.chi1_index,
-        "variance": rep.variance, "normalized": rep.normalized,
-        "max_deviation": rep.max_deviation, "chi1_mode": rep.chi1_mode,
-    } for rep in reports]
-    payload = [json.loads(rep.to_json()) for rep in reports]
-    if len(payload) == 1:
-        payload = payload[0]
+    reports = variance_scan(f, args.q, args.x, args.chi1, T=args.T,
+                            grid_dt=args.grid_dt, refine_tol=args.refine_tol)
+    # CSV writes only the named columns of each dict, not its deviations
+    rows = [rep.to_dict() for rep in reports]
+    payload = rows[0] if len(rows) == 1 else rows
     _emit(args, ["q", "x", "f", "chi1_index", "variance", "normalized",
                  "max_deviation", "chi1_mode"], rows, payload)
     return 0

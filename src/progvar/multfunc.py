@@ -16,7 +16,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import DomainError
-from .sieve import PrimeTable, _require_table, factor, window_apply
+from .sieve import PrimeTable, _require_coverage, _require_table, factor, window_apply
 
 BUILTIN_NAMES = ("one", "mobius", "mobius_squared", "liouville",
                  "smooth_indicator", "character", "nit_twist")
@@ -131,6 +131,7 @@ def evaluate_range(f: MultiplicativeFunction, lo: int, hi: int,
     table = _require_table(table)
     if lo < 1:
         raise DomainError(f"range must start at 1 or later, got {lo}")
+    _require_coverage(hi, table)
     vals = np.ones(hi - lo + 1, dtype=np.complex128)
 
     def visit(p, sl, e):

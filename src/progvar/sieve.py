@@ -190,6 +190,15 @@ def prime_bounds(n: int, table: PrimeTable | None = None):
 # operation per prime, on slice views rather than gathered index arrays.
 
 
+def _require_coverage(hi: int, table: PrimeTable) -> None:
+    """Raise CapacityError unless windows up to hi can be sieved, i.e. unless
+    the primes to sqrt(hi) are in the table (hi <= limit**2).  Callers that
+    allocate per-n arrays check this first, so an uncovered range fails
+    before any allocation."""
+    if hi > table.limit * table.limit:
+        raise CapacityError(f"window up to {hi} beyond coverage (limit {table.limit})")
+
+
 def window_apply(lo: int, hi: int, table: PrimeTable, pmax: float, on_prime_power) -> np.ndarray:
     """Sieve [lo, hi] by the primes p <= min(pmax, sqrt(hi)); return residuals.
 
@@ -208,11 +217,8 @@ def window_apply(lo: int, hi: int, table: PrimeTable, pmax: float, on_prime_powe
     """
     if lo < 1 or lo > hi:
         raise DomainError(f"bad window [{lo}, {hi}]")
-    if hi > table.limit * table.limit:
-        raise CapacityError(f"window up to {hi} beyond coverage (limit {table.limit})")
+    _require_coverage(hi, table)
     root = math.isqrt(hi)
-    if root > table.limit:
-        raise CapacityError(f"window up to {hi} needs primes to {root} > limit {table.limit}")
     prod = np.ones(hi - lo + 1, dtype=np.int64)
     for p in table.primes_in(2, min(pmax, root)).tolist():
         j0 = -lo % p
@@ -236,6 +242,7 @@ def window_apply(lo: int, hi: int, table: PrimeTable, pmax: float, on_prime_powe
 def mobius_range(lo: int, hi: int, table: PrimeTable | None = None) -> np.ndarray:
     """mu(lo), ..., mu(hi) as an int8 array."""
     table = _require_table(table)
+    _require_coverage(hi, table)
     mu = np.ones(hi - lo + 1, dtype=np.int8)
 
     def visit(p, sl, e):
@@ -249,6 +256,7 @@ def mobius_range(lo: int, hi: int, table: PrimeTable | None = None) -> np.ndarra
 def big_omega_range(lo: int, hi: int, table: PrimeTable | None = None) -> np.ndarray:
     """Omega (prime factors with multiplicity) over [lo, hi]."""
     table = _require_table(table)
+    _require_coverage(hi, table)
     om = np.zeros(hi - lo + 1, dtype=np.int32)
 
     def visit(p, sl, e):
@@ -270,6 +278,7 @@ def omega_between_range(lo: int, hi: int, P: float, Q: float,
     if not 1 <= P <= Q:
         raise DomainError(f"need 1 <= P <= Q, got P={P}, Q={Q}")
     table = _require_table(table)
+    _require_coverage(hi, table)
     om = np.zeros(hi - lo + 1, dtype=np.int32)
 
     def visit(p, sl, e):

@@ -14,7 +14,13 @@ import numpy as np
 from .characters import characters
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
-from .sieve import PrimeTable, _require_table, euler_phi, factor, units_mod
+from .sieve import (PrimeTable, _require_coverage, _require_table, euler_phi, factor,
+                    units_mod)
+
+
+# Integers per evaluate_range call in the streamed class-sum passes.  Peak
+# memory is a few arrays of this length, whatever the range.
+BLOCK = 1 << 20
 
 
 @dataclass
@@ -29,8 +35,9 @@ class VarianceReport:
     chi1_mode: str = "explicit"
     deviations: dict[int, complex] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        obj = {
+    def to_dict(self) -> dict:
+        """The JSON document of the report, deviations as [re, im] by class."""
+        return {
             "q": self.q,
             "x": self.x,
             "f": self.f,
@@ -41,7 +48,9 @@ class VarianceReport:
             "chi1_mode": self.chi1_mode,
             "deviations": {str(a): [z.real, z.imag] for a, z in sorted(self.deviations.items())},
         }
-        return json.dumps(obj)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "VarianceReport":
@@ -54,16 +63,38 @@ class VarianceReport:
         )
 
 
-def _class_sums(f, q, x, table):
-    """B_r = sum of f(n) over n <= x, n = r (mod q), for every residue r."""
-    n_max = math.floor(x)
-    if n_max < 1:
-        return np.zeros(q, dtype=np.complex128)
-    vals = evaluate_range(f, 1, n_max, table)
-    res = np.arange(1, n_max + 1) % q
-    re = np.bincount(res, weights=vals.real, minlength=q)
-    im = np.bincount(res, weights=vals.imag, minlength=q)
-    return re + 1j * im
+def _residue_sums(vals, lo, q):
+    """S[r] = sum of vals[i] over lo + i = r (mod q), each added in order of i.
+
+    Zero padding aligns the block with lo mod q, so row k of the (-1, q)
+    reshape holds n = q*k + r and summing over rows adds each class in order.
+    """
+    lead = lo % q
+    rows = -(-(lead + len(vals)) // q)
+    padded = np.zeros(rows * q, dtype=vals.dtype)
+    padded[lead:lead + len(vals)] = vals
+    if q == 1:
+        # numpy sums a 1-D reduction pairwise; accumulate keeps the order
+        return np.add.accumulate(padded)[-1:]
+    return padded.reshape(rows, q).sum(axis=0)
+
+
+def _class_sums(f, qs, lo, hi, table):
+    """For each q in qs, B with B[r] = sum of f(n) over lo <= n <= hi, n = r (mod q).
+
+    One evaluate_range call per block of BLOCK integers feeds every modulus,
+    so memory is flat in hi - lo and f is evaluated once whatever len(qs).
+    """
+    sums = [np.zeros(q, dtype=np.complex128) for q in qs]
+    if hi < lo or not sums:
+        return sums
+    _require_coverage(hi, table)
+    for start in range(lo, hi + 1, BLOCK):
+        vals = evaluate_range(f, start, min(start + BLOCK - 1, hi), table)
+        for q, acc in zip(qs, sums):
+            acc += _residue_sums(vals, start, q)
+        del vals  # free the block before the next one is allocated
+    return sums
 
 
 def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
@@ -87,6 +118,39 @@ def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
     return idx, "explicit"
 
 
+def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
+                  T: float | None = None, grid_dt: float | None = None,
+                  refine_tol: float = 1e-4,
+                  table: PrimeTable | None = None) -> list[VarianceReport]:
+    """The variance report of every modulus in qs, in order, from one pass
+    over [1, x] that sums the classes of all of them.
+
+    Per coprime class a the deviation is sum_{n <= x, n = a (q)} f(n) minus
+    the chi1 main term chi1(a)/phi(q) * sum_{n <= x} f(n) conj(chi1(n)); the
+    variance is the sum of their squared moduli, normalized by
+    phi(q) (x/q)^2.  T/grid_dt/refine_tol only matter for chi1 = "auto".
+    """
+    table = _require_table(table)
+    qs = [int(q) for q in qs]
+    chosen = [resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt,
+                           refine_tol=refine_tol, table=table) for q in qs]
+    reports = []
+    for q, (idx, mode), B in zip(qs, chosen, _class_sums(f, qs, 1, math.floor(x), table)):
+        chi = characters(q)[idx]
+        phi = euler_phi(q, table)
+        twisted_total = complex(np.conj(chi.table) @ B)
+        devs = {int(a): complex(B[a] - chi.table[a] / phi * twisted_total)
+                for a in units_mod(q)}
+        var = math.fsum(abs(z) ** 2 for z in devs.values())
+        reports.append(VarianceReport(
+            q=q, x=x, f=f.name, chi1_index=idx, variance=var,
+            normalized=var / (phi * (x / q) ** 2),
+            max_deviation=max((abs(z) for z in devs.values()), default=0.0),
+            chi1_mode=mode, deviations=devs,
+        ))
+    return reports
+
+
 def deviation(f: MultiplicativeFunction, q: int, x: float, chi1,
               table: PrimeTable | None = None):
     """Per coprime class a: sum_{n <= x, n = a (q)} f(n) minus the chi1 main
@@ -94,18 +158,8 @@ def deviation(f: MultiplicativeFunction, q: int, x: float, chi1,
 
     Returns (mapping a -> complex deviation, max modulus).
     """
-    table = _require_table(table)
-    idx, _ = resolve_chi1(chi1, f, q, x, table=table)
-    chi = characters(q)[idx]
-    phi = euler_phi(q, table)
-    B = _class_sums(f, q, x, table)
-    twisted_total = complex(np.conj(chi.table) @ B)
-    units = units_mod(q)
-    devs = {}
-    for a in units:
-        devs[int(a)] = complex(B[a] - chi.table[a] / phi * twisted_total)
-    max_dev = max((abs(z) for z in devs.values()), default=0.0)
-    return devs, max_dev
+    rep = variance_scan(f, [q], x, chi1, table=table)[0]
+    return rep.deviations, rep.max_deviation
 
 
 def variance(f: MultiplicativeFunction, q: int, x: float, chi1,
@@ -114,17 +168,8 @@ def variance(f: MultiplicativeFunction, q: int, x: float, chi1,
              table: PrimeTable | None = None) -> VarianceReport:
     """Sum of squared deviation moduli over coprime classes, normalized by
     phi(q) (x/q)^2.  T/grid_dt/refine_tol only matter for chi1 = "auto"."""
-    table = _require_table(table)
-    idx, mode = resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt,
-                             refine_tol=refine_tol, table=table)
-    devs, max_dev = deviation(f, q, x, idx, table)
-    var = math.fsum(abs(z) ** 2 for z in devs.values())
-    phi = euler_phi(q, table)
-    return VarianceReport(
-        q=q, x=x, f=f.name, chi1_index=idx, variance=var,
-        normalized=var / (phi * (x / q) ** 2), max_deviation=max_dev,
-        chi1_mode=mode, deviations=devs,
-    )
+    return variance_scan(f, [q], x, chi1, T=T, grid_dt=grid_dt,
+                         refine_tol=refine_tol, table=table)[0]
 
 
 def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
@@ -140,7 +185,7 @@ def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
     chis = characters(q)
     if any(not 0 <= i < phi for i in xi):
         raise DomainError(f"character index set {sorted(xi)} out of range for q={q}")
-    B = _class_sums(f, q, x, table)
+    B = _class_sums(f, [q], 1, math.floor(x), table)[0]
     twisted = [complex(np.conj(c.table) @ B) for c in chis]
     lhs = math.fsum(abs(twisted[i]) ** 2 for i in range(phi) if i not in xi) / phi
     rhs_terms = []
@@ -148,6 +193,17 @@ def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
         main = sum(chis[i].table[a] / phi * twisted[i] for i in xi)
         rhs_terms.append(abs(B[a] - main) ** 2)
     return lhs, math.fsum(rhs_terms)
+
+
+def _sample_grid(X, step):
+    """Sample points X, X + step, ... below 2X and their left-rule weights
+    min(step, 2X - x).  cumsum adds in the order of a running x += step, so
+    the points equal those of that loop exactly."""
+    steps = np.full(math.ceil(X / step) + 2, float(step))
+    steps[0] = float(X)
+    xs = np.cumsum(steps)
+    xs = xs[:np.searchsorted(xs, 2 * X)]
+    return xs, np.minimum(float(step), 2 * X - xs)
 
 
 def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
@@ -160,6 +216,11 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
 
     approximated at x = X, X + step, ... (left rule, truncated last cell) and
     normalized by phi(q) X (h/q)^2.
+
+    Two streamed passes: the twisted total over (X, 2X], then the sample
+    points in chunks of about BLOCK integers, each evaluating its points'
+    windows once (chunks overlap by h).  Memory is O(BLOCK + h) for f plus
+    O(X / step) for the per-point totals.
     """
     table = _require_table(table)
     if not f.real:
@@ -170,53 +231,38 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
         raise DomainError(f"need q <= h/10, got q={q}, h={h}")
     if sample_step < 1:
         raise DomainError(f"sample_step must be >= 1, got {sample_step}")
+    _require_coverage(math.floor(2 * X + h), table)
     idx, _ = resolve_chi1(chi1, f, q, X, T=T, table=table)
     chi = characters(q)[idx]
     phi = euler_phi(q, table)
 
-    n_hi = math.floor(2 * X + h)
-    vals = evaluate_range(f, 1, n_hi, table).real
-    ns = np.arange(1, n_hi + 1)
-
-    lo_sum = math.floor(X) + 1
-    hi_sum = math.floor(2 * X)
-    tw = vals[lo_sum - 1 : hi_sum] * np.conj(chi.table[ns[lo_sum - 1 : hi_sum] % q])
-    twisted_total = complex(tw.sum())
-
-    units = units_mod(q)
-    # Per-class prefix sums: class a holds f at a, a+q, a+2q, ...
-    prefixes = {}
-    for a in units:
-        start = a if a >= 1 else q
-        seq = vals[start - 1 :: q]
-        pref = np.zeros(len(seq) + 1)
-        np.cumsum(seq, out=pref[1:])
-        prefixes[int(a)] = pref
+    B = _class_sums(f, [q], math.floor(X) + 1, math.floor(2 * X), table)[0]
+    twisted_total = complex(np.conj(chi.table) @ B)
+    units = units_mod(q).tolist()
 
     def class_count(m, a):
         # number of n <= m with n = a (mod q), n >= 1
         aa = a if a >= 1 else q
         return np.maximum((m - aa) // q + 1, 0)
 
-    xs = []
-    weights = []
-    x = float(X)
-    while x < 2 * X:
-        xs.append(x)
-        weights.append(min(float(sample_step), 2 * X - x))
-        x += sample_step
-    xs = np.array(xs)
-    weights = np.array(weights)
-    lo_idx = np.floor(xs).astype(np.int64)
-    hi_idx = np.floor(xs + h).astype(np.int64)
-
+    xs, weights = _sample_grid(X, sample_step)
     total = np.zeros(len(xs))
-    for a in units:
-        a = int(a)
-        pref = prefixes[a]
-        wins = pref[class_count(hi_idx, a)] - pref[class_count(lo_idx, a)]
-        main = complex(chi.table[a]) / phi * (h / X) * twisted_total
-        total += (wins - main.real) ** 2 + main.imag**2
+    per_chunk = max(1, BLOCK // sample_step)
+    for i in range(0, len(xs), per_chunk):
+        part = xs[i:i + per_chunk]
+        lo_idx = np.floor(part).astype(np.int64)
+        hi_idx = np.floor(part + h).astype(np.int64)
+        base = int(lo_idx[0])
+        vals = evaluate_range(f, base + 1, int(hi_idx[-1]), table).real
+        for a in units:
+            # prefix sums of class a over the chunk's n > base, a, a+q, ...
+            seq = vals[(a - base - 1) % q::q]
+            pref = np.zeros(len(seq) + 1)
+            np.cumsum(seq, out=pref[1:])
+            skip = class_count(base, a)
+            wins = pref[class_count(hi_idx, a) - skip] - pref[class_count(lo_idx, a) - skip]
+            main = complex(chi.table[a]) / phi * (h / X) * twisted_total
+            total[i:i + per_chunk] += (wins - main.real) ** 2 + main.imag**2
     integral = float((total * weights).sum())
     return integral / (phi * X * (h / q) ** 2)
 

@@ -1,11 +1,14 @@
 import argparse
+import importlib
 import json
 import math
 
 import pytest
 
-from progvar import cli, linnik
+from progvar import cli, linnik, parse_descriptor, variance
 from progvar.cli import main
+
+variance_mod = importlib.import_module("progvar.variance")
 
 
 def run(capsys, *argv):
@@ -185,6 +188,49 @@ def test_linnik_q_range_sieves_each_block_once(capsys, monkeypatch, block):
     slowest = max(math.ceil(r["n"] / block) for r in rows)
     assert len(calls) == slowest
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("qs", ["101", "1,12,101"])
+@pytest.mark.parametrize("f", ["mobius", "character:q=101,idx=7"])
+def test_variance_json_matches_report_json(capsys, qs, f):
+    # the payload the command built by parsing each report's to_json back
+    code, out, _ = run(capsys, "variance", "--f", f, "--q", qs, "--x", "5000",
+                       "--chi1", "principal", "--sieve-limit", "10000", "--format", "json")
+    assert code == 0
+    reports = [json.loads(variance(parse_descriptor(f), int(q), 5000.0, "principal").to_json())
+               for q in qs.split(",")]
+    doc = reports[0] if len(reports) == 1 else reports
+    assert out == json.dumps(doc, ensure_ascii=False) + "\n"
+
+
+def test_variance_q_list_evaluates_f_once_per_block(capsys, monkeypatch):
+    calls = []
+    evaluate = variance_mod.evaluate_range
+
+    def counting(f, lo, hi, table=None):
+        calls.append((lo, hi))
+        return evaluate(f, lo, hi, table)
+
+    monkeypatch.setattr(variance_mod, "evaluate_range", counting)
+    code, out, _ = run(capsys, "variance", "--f", "mobius", "--q", "83,97,127",
+                       "--x", "3e6", "--chi1", "principal", "--sieve-limit", "10000",
+                       "--format", "json")
+    assert code == 0
+    assert [rep["q"] for rep in json.loads(out)] == [83, 97, 127]
+    assert len(calls) == math.ceil(3e6 / variance_mod.BLOCK)
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--f", "mobius", "--q", "101", "--x", "1e15", "--chi1", "principal"],
+    ["hybrid", "--f", "mobius", "--q", "7", "--X", "1e15", "--h", "1000",
+     "--chi1", "principal"],
+    ["parseval", "--f", "mobius", "--q", "101", "--x", "1e15"],
+])
+def test_uncovered_range_is_a_capacity_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--sieve-limit", "10000")
+    assert code == 1
+    assert "capacity error" in err
+    assert out == ""
 
 
 def test_emit_json_matches_json_dump(tmp_path):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from progvar import (DomainError, builtin, characters, evaluate_range,
+from progvar import (CapacityError, DomainError, builtin, characters, evaluate_range,
                      parse_descriptor, restrict_smooth)
 
 
@@ -65,6 +65,12 @@ def test_evaluate_range_edge_windows(table, lo, hi):
         vals = evaluate_range(f, lo, hi, table)
         pointwise = np.array([f(n, table) for n in range(lo, hi + 1)])
         assert np.abs(vals - pointwise).max() < 1e-12, (f.name, lo)
+
+
+def test_evaluate_range_beyond_coverage_fails_before_allocating(table):
+    # [1, 1e15] would need 14 PiB; coverage is checked before any array exists
+    with pytest.raises(CapacityError):
+        evaluate_range(builtin("mobius"), 1, 10**15, table)
 
 
 def test_boundedness_over_large_range(table):

@@ -55,6 +55,13 @@ def test_factor_beyond_limit_uses_trial_division():
         factor(50 * 50 + 1, small)
 
 
+@pytest.mark.parametrize("kernel", [mobius_range, big_omega_range, omega_range])
+def test_range_kernels_beyond_coverage_fail_before_allocating(table, kernel):
+    # [1, 1e15] would need petabytes; coverage is checked before any array exists
+    with pytest.raises(CapacityError):
+        kernel(1, 10**15, table)
+
+
 def test_factor_domain_errors(table):
     with pytest.raises(DomainError):
         factor(0, table)

@@ -1,12 +1,18 @@
+import importlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from progvar import (DomainError, VarianceReport, builtin, characters,
-                     delta_typicality, deviation, euler_phi, hybrid_variance,
-                     is_y_typical, parseval_check, variance)
+from progvar import (DomainError, VarianceReport, builtin, characters, classify,
+                     delta_typicality, deviation, euler_phi, evaluate_range,
+                     hybrid_variance, is_y_typical, parse_descriptor, parseval_check,
+                     variance)
+
+# the package exports a function named variance, so fetch the module itself
+variance_mod = importlib.import_module("progvar.variance")
 
 
 def brute_deviation(f, q, x, chi, table):
@@ -165,6 +171,90 @@ def test_hybrid_oracle_double_loop(table):
     oracle = total / (1 * X * h**2)
     got = hybrid_variance(builtin("mobius"), 1, X, h, 0, sample_step=1, table=table)
     assert abs(got - oracle) < 1e-12
+
+
+def whole_range_class_sums(f, q, lo, hi, table):
+    """Oracle: all of [lo, hi] evaluated at once, one bincount per part."""
+    vals = evaluate_range(f, lo, hi, table)
+    res = np.arange(lo, hi + 1) % q
+    return (np.bincount(res, weights=vals.real, minlength=q)
+            + 1j * np.bincount(res, weights=vals.imag, minlength=q))
+
+
+@pytest.mark.parametrize("lo", [1, 1000])
+def test_class_sums_in_blocks_match_whole_range(table, monkeypatch, lo):
+    monkeypatch.setattr(variance_mod, "BLOCK", 97)
+    qs = [1, 2, 12, 97, 101, 250]  # 250 is wider than a block
+    hi = lo + 3000  # 31 blocks, the last one partial
+    cases = ((builtin("mobius"), 0.0), (parse_descriptor("character:q=101,idx=7"), 1e-12))
+    for f, tol in cases:
+        got = variance_mod._class_sums(f, qs, lo, hi, table)
+        for q, B in zip(qs, got):
+            oracle = whole_range_class_sums(f, q, lo, hi, table)
+            assert B.shape == (q,)
+            assert np.abs(B - oracle).max() <= tol, (f.name, q, lo)
+
+
+def test_class_sums_memory_is_flat(table):
+    # the whole-range path holds about 53 bytes per n here, over 150 MB
+    tracemalloc.start()
+    try:
+        variance_mod._class_sums(builtin("mobius"), [101, 103], 1, 4_000_000, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
+
+
+def hybrid_oracle(f, q, X, h, chi, step, table):
+    """The sampled statistic by its definition, point by point and class by class."""
+    phi = euler_phi(q, table)
+    vals = [0.0] + [complex(f(n, table)).real for n in range(1, math.floor(2 * X + h) + 1)]
+    twisted = sum(vals[n] * complex(chi(n)).conjugate()
+                  for n in range(math.floor(X) + 1, math.floor(2 * X) + 1))
+    classes = [a for a in range(q) if math.gcd(a, q) == 1]
+    total, x = 0.0, float(X)
+    while x < 2 * X:
+        for a in classes:
+            window = sum(vals[n] for n in range(math.floor(x) + 1, math.floor(x + h) + 1)
+                         if n % q == a)
+            main = complex(chi(a)) / phi * (h / X) * twisted
+            total += min(step, 2 * X - x) * abs(window - main) ** 2
+        x += step
+    return total / (phi * X * (h / q) ** 2)
+
+
+@pytest.mark.parametrize("block", [97, 1 << 20])
+@pytest.mark.parametrize("q,X,h,step", [(1, 400, 30, 1), (5, 400.5, 50, 3),
+                                        (7, 350, 70, 2)])
+def test_hybrid_in_chunks_matches_oracle(table, monkeypatch, block, q, X, h, step):
+    monkeypatch.setattr(variance_mod, "BLOCK", block)
+    mob = builtin("mobius")
+    # a real non-principal chi1 where there is one
+    idx = next((c.index for c in characters(q)
+                if classify(c).real and not classify(c).principal), 0)
+    got = hybrid_variance(mob, q, X, h, idx, sample_step=step, table=table)
+    oracle = hybrid_oracle(mob, q, X, h, characters(q)[idx], step, table)
+    assert abs(got - oracle) <= 1e-12 * oracle, (got, oracle)
+
+
+def loop_sample_grid(X, step):
+    xs, weights = [], []
+    x = float(X)
+    while x < 2 * X:
+        xs.append(x)
+        weights.append(min(float(step), 2 * X - x))
+        x += step
+    return xs, weights
+
+
+@pytest.mark.parametrize("X", [100, 1000, 1234.567, 10**5 + 0.1])
+@pytest.mark.parametrize("step", [1, 3])
+def test_sample_grid_matches_loop(X, step):
+    xs, weights = variance_mod._sample_grid(X, step)
+    loop_xs, loop_weights = loop_sample_grid(X, step)
+    assert xs.tolist() == loop_xs
+    assert weights.tolist() == loop_weights
 
 
 def test_hybrid_preconditions(table):
