@@ -108,9 +108,9 @@ class UnitGroupStructure:
         lattice = np.full(q, -1, dtype=np.int64)
         lattice[residues] = np.arange(phi)
         self.lattice_index = lattice
-        shape = self.orders if components else (1,)
+        self.lattice_shape = self.orders if components else (1,)
         self.exponent_vectors = np.stack(
-            np.unravel_index(np.arange(phi), shape), axis=1
+            np.unravel_index(np.arange(phi), self.lattice_shape), axis=1
         ).astype(np.int64)
 
     def dlog(self, n: int) -> tuple[int, ...]:
@@ -121,10 +121,6 @@ class UnitGroupStructure:
         if not self.components:
             return ()
         return tuple(int(e) for e in self.exponent_vectors[i])
-
-    @property
-    def lattice_shape(self) -> tuple[int, ...]:
-        return self.orders if self.components else (1,)
 
 
 @lru_cache(maxsize=64)
@@ -223,6 +219,18 @@ def characters(q: int, budget: int = DEFAULT_GROUP_BUDGET) -> list[DirichletChar
         exps = vec if g.components else ()
         out.append(DirichletCharacter(g, exps, i))
     return out
+
+
+def character_sums(q: int, sums) -> np.ndarray:
+    """sum_a sums[a] conj(chi(a)) for every character chi mod q, in index order.
+
+    sums is indexed by residue mod q.  One DFT over the unit-group component
+    lattice: its C-order output is the lexicographic exponent order, which is
+    the character index order.
+    """
+    g = unit_group(q)
+    units = np.asarray(sums)[g.unit_residues]
+    return np.fft.fftn(units.reshape(g.lattice_shape)).ravel()
 
 
 def eval_character(chi: DirichletCharacter, n: int) -> complex:

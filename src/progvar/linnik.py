@@ -47,15 +47,6 @@ class LinnikScanResult:
             "exponent": self.exponent,
         })
 
-    @classmethod
-    def from_json(cls, text: str) -> "LinnikScanResult":
-        obj = json.loads(text)
-        return cls(
-            q=obj["q"], predicate=obj["predicate"], bound=obj["bound"],
-            minima={int(a): n for a, n in obj["minima"].items()},
-            max_value=obj["max_value"], exponent=obj["exponent"],
-        )
-
 
 def _qualifier(predicate: str):
     if predicate == "e3":

@@ -9,8 +9,9 @@ terms and oscillates on scale ~1/log x, so the grid spacing is
 min(0.05, 1/log x); the best grid cell is then refined by golden-section
 search (local unimodality assumed; acceptance checks against a dense-grid
 oracle).  On the grid, all phi(q) characters are handled at once: prime
-contributions are bucketed by residue class and transformed by a DFT over
-the unit-group component lattice; halasz_M is the single-character case.
+contributions are bucketed by residue class and transformed by one DFT over
+the unit-group component lattice (characters.character_sums); halasz_M is
+the single-character case.
 Reported minima are recomputed from scratch with compensated summation.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import characters, unit_group
+from .characters import character_sums, characters, unit_group
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction
 from .sieve import PrimeTable, _require_table
@@ -177,30 +178,28 @@ def select_main_character(f: MultiplicativeFunction, q: int, x: float,
     if T is None:
         T = math.log(x)
     dt, ts = _twist_grid(x, T, grid_dt)
-    group = unit_group(q)
+    phi = unit_group(q).phi  # validates q before any % q
     w = fp * inv
-    ridx = group.lattice_index[primes % q]
-    phi = group.phi
+    res = primes % q
 
-    # Grid scan: bucket prime contributions by unit-lattice cell, then one
-    # DFT over the component lattice yields sum_p f(p) conj(chi(p)) p^{-it}/p
-    # for every character at once.
+    # Grid scan: bucket prime contributions by residue class, then one
+    # character_sums transform yields sum_p f(p) conj(chi(p)) p^{-it}/p for
+    # every character at once.
     keep_all = phi * len(ts) <= KEEP_ALL_LIMIT
     dist_rows = np.empty((len(ts), phi)) if keep_all else None
     mins = np.empty(len(ts))
     argmins = np.empty(len(ts), dtype=np.intp)
     for i, cur in enumerate(_phases(w, logp, ts, dt)):
-        re = np.bincount(ridx, weights=cur.real, minlength=phi)
-        im = np.bincount(ridx, weights=cur.imag, minlength=phi)
-        spectrum = np.fft.fftn((re + 1j * im).reshape(group.lattice_shape)).real.ravel()
-        dists = const - spectrum
+        re = np.bincount(res, weights=cur.real, minlength=q)
+        im = np.bincount(res, weights=cur.imag, minlength=q)
+        dists = const - character_sums(q, re + 1j * im).real
         if keep_all:
             dist_rows[i] = dists
         argmins[i] = np.argmin(dists)  # first minimum = smallest character index
         mins[i] = dists[argmins[i]]
     i = _grid_argmin(ts, mins, argmins)
     chi_index = int(argmins[i])
-    chi_p = np.conj(characters(q)[chi_index].table[primes % q])
+    chi_p = np.conj(characters(q)[chi_index].table[res])
     cw = w * chi_p
 
     # Trace of the winning character over the grid; above KEEP_ALL_LIMIT it

@@ -2,8 +2,9 @@
 sup-norm scans, the combinatorial reweighting identity, bilinear
 decomposition sums, and empirical mean-value ratios.
 
-p^{-it} factors are computed as exp(-i t log p) from a cached log table
-over the prime list, which dominates the cost of every scan here.
+p^{-it} factors are computed as exp(-i t log p), the logarithms once per
+scan.  Censuses and sup-norm scans bucket by residue class and take one
+characters.character_sums transform per twist for all characters.
 Reweighting checks run in exact rational arithmetic; bulk sums use doubles.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, character_sums, characters, unit_group
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
 from .sieve import (PrimeTable, _require_table, euler_phi, factor,
@@ -46,6 +47,12 @@ def _coeff_values(coeffs, primes: np.ndarray) -> np.ndarray:
     return np.array([coeffs(int(p)) for p in primes], dtype=np.complex128)
 
 
+def _residue_totals(res: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
+    """sum of w over each residue class mod q, res holding the residues."""
+    return (np.bincount(res, weights=w.real, minlength=q)
+            + 1j * np.bincount(res, weights=w.imag, minlength=q))
+
+
 def _twisted(a: np.ndarray, ns: np.ndarray, chi: DirichletCharacter, t: float) -> np.ndarray:
     """a_n conj(chi(n)) n^{-it} for each n in ns."""
     vals = a * np.conj(chi.table[ns % chi.q])
@@ -54,16 +61,19 @@ def _twisted(a: np.ndarray, ns: np.ndarray, chi: DirichletCharacter, t: float) -
     return vals
 
 
+def _prime_window(P: float, delta: float, coeffs, table: PrimeTable | None):
+    """The primes P <= p <= (1+delta)P and their coefficients a_p."""
+    if P < 2 or delta <= 0:
+        raise DomainError(f"need P >= 2 and delta > 0, got P={P}, delta={delta}")
+    primes = _require_table(table).primes_in(P, (1 + delta) * P)
+    return primes, _coeff_values(coeffs, primes)
+
+
 def prime_char_sum(chi: DirichletCharacter, t: float, P: float, delta: float,
                    coeffs, table: PrimeTable | None = None) -> complex:
     """sum over primes P <= p <= (1+delta)P of a_p conj(chi(p)) p^{-it}."""
-    if P < 2 or delta <= 0:
-        raise DomainError(f"need P >= 2 and delta > 0, got P={P}, delta={delta}")
-    table = _require_table(table)
-    primes = table.primes_in(P, (1 + delta) * P)
-    if primes.size == 0:
-        return 0j
-    return complex(_twisted(_coeff_values(coeffs, primes), primes, chi, t).sum())
+    primes, a = _prime_window(P, delta, coeffs, table)
+    return complex(_twisted(a, primes, chi, t).sum())
 
 
 def log_prime_char_sum(chi: DirichletCharacter, t: float, P: float, eps_exp: float,
@@ -95,21 +105,25 @@ def large_value_census(q: int, t_grid, P: float, delta: float, coeffs,
                        eps: float, table: PrimeTable | None = None):
     """All pairs (chi, t) with |(log P)/(delta P) * prime_char_sum| >= eps.
 
-    Returns (count, points) with points ordered by (chi index, t).
+    Each twist buckets a_p p^{-it} by residue class and takes one
+    character_sums transform for all characters.  Returns (count, points)
+    with points ordered by chi index, then by t in grid order.
     """
-    from .characters import characters
-
-    ts = list(t_grid)
-    if not (len(ts) == 1 and float(ts[0]) == 0.0):
+    ts = [float(t) for t in t_grid]
+    if not (len(ts) == 1 and ts[0] == 0.0):
         _check_well_spaced(ts)
-    table = _require_table(table)
+    unit_group(q)  # validates q before any % q
+    primes, a = _prime_window(P, delta, coeffs, table)
+    res = primes % q
+    logp = np.log(primes.astype(float))
+    sums = np.stack([
+        character_sums(q, _residue_totals(
+            res, a if t == 0.0 else a * np.exp(-1j * t * logp), q))
+        for t in ts
+    ], axis=1)  # sums[chi index, twist]
     scale = math.log(P) / (delta * P)
-    points = []
-    for chi in characters(q):
-        for t in ts:
-            s = prime_char_sum(chi, float(t), P, delta, coeffs, table)
-            if scale * abs(s) >= eps:
-                points.append(SpectrumPoint(chi.index, float(t), s))
+    points = [SpectrumPoint(int(i), ts[j], complex(sums[i, j]))
+              for i, j in np.argwhere(scale * np.abs(sums) >= eps)]
     return len(points), points
 
 
@@ -117,26 +131,22 @@ def sup_norm_scan(f: MultiplicativeFunction, q: int, x: float, y_grid, t_grid,
                   exclude: int, table: PrimeTable | None = None) -> float:
     """max over chi != exclude, t in t_grid, y in y_grid of
     |(1/y) sum_{n <= y} f(n) conj(chi(n)) n^{-it}|."""
-    from .characters import characters
-
     table = _require_table(table)
     ys = sorted(int(math.floor(y)) for y in y_grid)
     if not ys or ys[-1] > x:
         raise DomainError("y grid must be nonempty and within x")
-    chis = [c for c in characters(q) if c.index != exclude]
-    if not chis:
+    others = np.arange(unit_group(q).phi) != exclude  # validates q before any % q
+    if not others.any():
         return 0.0
     vals = evaluate_range(f, 1, ys[-1], table)
     ns = np.arange(1, ys[-1] + 1)
     res = ns % q
-    tables = np.stack([np.conj(c.table) for c in chis])
+    logn = np.log(ns.astype(float))
     best = 0.0
     for t in t_grid:
-        w = vals if t == 0.0 else vals * np.exp(-1j * float(t) * np.log(ns.astype(float)))
+        w = vals if t == 0.0 else vals * np.exp(-1j * float(t) * logn)
         for y in ys:
-            re = np.bincount(res[:y], weights=w[:y].real, minlength=q)
-            im = np.bincount(res[:y], weights=w[:y].imag, minlength=q)
-            sums = tables @ (re + 1j * im)
+            sums = character_sums(q, _residue_totals(res[:y], w[:y], q))[others]
             best = max(best, float(np.abs(sums).max()) / y)
     return best
 
@@ -209,8 +219,6 @@ def mean_value_ratio(q: int, a_values, M: int = 0,
     The returned identity field carries phi(q) * sum over coprime classes of
     |class sums|^2, which equals lhs exactly by orthogonality.
     """
-    from .characters import characters
-
     a = np.asarray(a_values, dtype=np.complex128)
     N = len(a)
     if N < 1:
@@ -220,9 +228,7 @@ def mean_value_ratio(q: int, a_values, M: int = 0,
     coprime = np.gcd(ns, q) == 1
     phi = euler_phi(q, table)
 
-    re = np.bincount(res, weights=a.real, minlength=q)
-    im = np.bincount(res, weights=a.imag, minlength=q)
-    class_sums = re + 1j * im
+    class_sums = _residue_totals(res, a, q)
 
     lhs = 0.0
     for chi in characters(q):

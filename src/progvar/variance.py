@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import characters
+from .characters import character_sums, characters
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
 from .sieve import (PrimeTable, _require_coverage, _require_table, euler_phi, factor,
@@ -51,16 +51,6 @@ class VarianceReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "VarianceReport":
-        obj = json.loads(text)
-        return cls(
-            q=obj["q"], x=obj["x"], f=obj["f"], chi1_index=obj["chi1_index"],
-            variance=obj["variance"], normalized=obj["normalized"],
-            max_deviation=obj["max_deviation"], chi1_mode=obj["chi1_mode"],
-            deviations={int(a): complex(re, im) for a, (re, im) in obj["deviations"].items()},
-        )
 
 
 def _residue_sums(vals, lo, q):
@@ -186,13 +176,11 @@ def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
     if any(not 0 <= i < phi for i in xi):
         raise DomainError(f"character index set {sorted(xi)} out of range for q={q}")
     B = _class_sums(f, [q], 1, math.floor(x), table)[0]
-    twisted = [complex(np.conj(c.table) @ B) for c in chis]
+    twisted = character_sums(q, B)
     lhs = math.fsum(abs(twisted[i]) ** 2 for i in range(phi) if i not in xi) / phi
-    rhs_terms = []
-    for a in units_mod(q):
-        main = sum(chis[i].table[a] / phi * twisted[i] for i in xi)
-        rhs_terms.append(abs(B[a] - main) ** 2)
-    return lhs, math.fsum(rhs_terms)
+    units = units_mod(q)
+    main = sum(chis[i].table[units] / phi * twisted[i] for i in xi)
+    return lhs, math.fsum((np.abs(B[units] - main) ** 2).tolist())
 
 
 def _sample_grid(X, step):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from progvar import characters, classify, eval_character, euler_phi, unit_group
+from progvar import (character_sums, characters, classify, eval_character, euler_phi,
+                     unit_group)
 
 
 def units_of(q):
@@ -131,6 +132,18 @@ def test_orthogonality_identity_q_up_to_60():
         V = np.stack([c.table[us] for c in chis])  # phi x units
         gram = V.conj().T @ V / phi
         assert np.max(np.abs(gram - np.eye(len(us)))) < 1e-12
+
+
+def test_character_sums_match_tables():
+    # q = 1..64 covers the trivial groups, one and two 2-power components
+    # (4, 8, 16, 32), odd prime powers and composites
+    rng = np.random.default_rng(7)
+    for q in range(1, 65):
+        sums = rng.uniform(-1, 1, q) + 1j * rng.uniform(-1, 1, q)
+        want = np.array([np.conj(chi.table) @ sums for chi in characters(q)])
+        got = character_sums(q, sums)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), q
 
 
 def brute_induced(chi):

@@ -111,6 +111,20 @@ def test_spectrum_cli_columns(capsys):
     assert len(lines) == 2  # principal only at this threshold
 
 
+def test_spectrum_cli_json(capsys):
+    code, out, _ = run(capsys, "spectrum", "--q", "12", "--P", "100", "--delta", "1",
+                       "--eps", "0.1", "--t-grid", "0,1.5,3", "--format", "json",
+                       "--sieve-limit", "10000")
+    assert code == 0
+    doc = json.loads(out)
+    points = doc["points"]
+    assert doc["count"] == len(points) > 0
+    assert all(type(p["chi_index"]) is int and 0 <= p["chi_index"] < 4 for p in points)
+    assert {p["t"] for p in points} <= {0.0, 1.5, 3.0}
+    keys = [(p["chi_index"], p["t"]) for p in points]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
 def test_linnik_cli_and_resume(capsys, tmp_path):
     state = tmp_path / "scan.json"
     args = ("linnik", "--q-range", "5:6", "--predicate", "e3",

@@ -1,14 +1,15 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from progvar import (DomainError, builtin, characters, decomposition_sums,
                      euler_phi, factor, large_value_census, log_prime_char_sum,
-                     mean_value_ratio, omega_in_range, prime_char_sum,
-                     ramare_identity_check, ramare_weight, sup_norm_scan)
+                     mean_value_ratio, omega_in_range, parseval_check, prime_char_sum,
+                     ramare_identity_check, ramare_weight, sup_norm_scan, unit_group)
 
 ONE = builtin("one")
 
@@ -62,23 +63,34 @@ def test_census_well_spacing(table):
     large_value_census(5, [-3.0, -1.5, 0.0, 1.0], 10, 1.0, ONE, 0.1, table)
 
 
+@pytest.mark.parametrize("P,delta", [(0, 1.0), (1, 1.0), (10, 0.0), (10, -1.0)])
+def test_census_rejects_bad_window(table, P, delta):
+    with pytest.raises(DomainError):
+        large_value_census(5, [0.0], P, delta, ONE, 0.1, table)
+
+
 def test_census_matches_brute_force_and_monotone(table):
-    rng = random.Random(12)
-    for q in (3, 8, 15, 30):
-        grid = [-2.0, 0.0, 3.5]
+    def plain(p):  # a coefficient that is a plain callable, not a builtin
+        return complex(math.cos(p), math.sin(p / 3))
+
+    grid = [-2.0, 0.0, 3.5]
+    scale = math.log(20) / (1.5 * 20)
+    for q, coeffs in ((1, ONE), (2, ONE), (3, ONE), (8, ONE), (15, ONE), (30, ONE),
+                      (1, plain), (12, plain), (15, plain)):
+        a = (lambda p: 1.0) if coeffs is ONE else coeffs
+        brute = {(chi.index, t): sum(a(p) * complex(chi(p)).conjugate()
+                                     * cmath.exp(-1j * t * math.log(p))
+                                     for p in primes_upto(50, table) if p >= 20)
+                 for chi in characters(q) for t in grid}
         counts = []
         for eps in (0.0, 0.2, 0.5, 1.0):
-            count, pts = large_value_census(q, grid, 20, 1.5, ONE, eps, table)
-            # brute force re-evaluation
-            brute = 0
-            scale = math.log(20) / (1.5 * 20)
-            for chi in characters(q):
-                for t in grid:
-                    s = sum(complex(chi(p)).conjugate() * cmath.exp(-1j * t * math.log(p))
-                            for p in primes_upto(50, table) if p >= 20)
-                    if scale * abs(s) >= eps:
-                        brute += 1
-            assert count == brute
+            count, pts = large_value_census(q, grid, 20, 1.5, coeffs, eps, table)
+            want = [key for key, s in brute.items() if scale * abs(s) >= eps]
+            assert count == len(pts) == len(want)
+            assert [(pt.chi_index, pt.t) for pt in pts] == want
+            for pt in pts:
+                assert type(pt.chi_index) is int
+                assert abs(pt.value - brute[pt.chi_index, pt.t]) < 1e-12
             counts.append(count)
         assert counts == sorted(counts, reverse=True)
 
@@ -107,6 +119,22 @@ def test_sup_norm_matches_direct(table):
                         * cmath.exp(-1j * t * math.log(n)) for n in range(1, y + 1))
                 best = max(best, abs(s) / y)
     assert abs(got - best) < 1e-9
+
+
+def test_all_character_sums_keep_no_tables(table):
+    # q = 2003: phi(q) character tables of q complex values would take 61 MiB
+    q = 2003
+    unit_group(q)  # built once with the default sieve, whatever table is passed
+    mob = builtin("mobius")
+    for run in (lambda: parseval_check(mob, q, 50_000, [0, 5], table=table),
+                lambda: large_value_census(q, [0.0, 1.5], 10_000, 1.0, mob, 0.1, table)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_ramare_weight_examples(table):
