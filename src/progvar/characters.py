@@ -14,7 +14,8 @@ conductor / parity logic can run on integers.
 
 Character indexing contract: characters(q)[0] is principal and the sequence
 is ordered lexicographically by exponent vector (C-order over the component
-lattice).  Reports reference characters by this index.
+lattice).  Reports reference characters by this index; character(q, index)
+builds one of them without the other phi(q) - 1.
 """
 
 from __future__ import annotations
@@ -219,6 +220,16 @@ def characters(q: int, budget: int = DEFAULT_GROUP_BUDGET) -> list[DirichletChar
         exps = vec if g.components else ()
         out.append(DirichletCharacter(g, exps, i))
     return out
+
+
+def character(q: int, index: int) -> DirichletCharacter:
+    """characters(q)[index], built alone: the exponents are index unravelled
+    in C-order over the component lattice."""
+    g = unit_group(q)
+    if not 0 <= index < g.phi:
+        raise DomainError(f"character index {index} out of range for q={q}")
+    exps = np.unravel_index(index, g.lattice_shape) if g.components else ()
+    return DirichletCharacter(g, exps, index)
 
 
 def character_sums(q: int, sums) -> np.ndarray:

@@ -100,7 +100,7 @@ def builtin(name: str, *, y: float | None = None,
 def parse_descriptor(text: str) -> MultiplicativeFunction:
     """CLI descriptors: "mobius", "smooth_indicator:1000", "character:q=5,idx=2",
     "nit_twist:0.5"."""
-    from .characters import characters
+    from .characters import character
 
     head, _, arg = text.partition(":")
     if head in ("one", "mobius", "mobius_squared", "liouville"):
@@ -118,10 +118,7 @@ def parse_descriptor(text: str) -> MultiplicativeFunction:
             idx = int(params["idx"])
         except KeyError as e:
             raise DomainError(f"character descriptor needs q= and idx=: {text!r}") from e
-        chis = characters(q)
-        if not 0 <= idx < len(chis):
-            raise DomainError(f"character index {idx} out of range for q={q}")
-        return builtin("character", chi=chis[idx])
+        return builtin("character", chi=character(q, idx))
     raise DomainError(f"unknown multiplicative function descriptor {text!r}")
 
 
@@ -143,7 +140,10 @@ def evaluate_range(f: MultiplicativeFunction, lo: int, hi: int,
     residual = window_apply(lo, hi, table, math.inf, visit)
     tail = residual > 1
     if tail.any():
-        vals[tail] *= f.at_primes(residual[tail])
+        # at_primes runs before vals[tail] is gathered, so their temporaries
+        # never coexist; vals stays the left operand, which sets the rounding.
+        prod = f.at_primes(residual[tail])
+        vals[tail] = np.multiply(vals[tail], prod, out=prod)
     return vals
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import character_sums, characters
+from .characters import character, character_sums
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
 from .sieve import (PrimeTable, _require_coverage, _require_table, euler_phi, factor,
@@ -89,18 +89,18 @@ def _class_sums(f, qs, lo, hi, table):
 
 def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
                  T: float | None = None, grid_dt: float | None = None,
-                 refine_tol: float = 1e-4,
                  table: PrimeTable | None = None) -> tuple[int, str]:
-    """Map a chi1 argument (index, "principal", or "auto") to an index."""
+    """Map a chi1 argument (index, "principal", or "auto") to an index.  "auto"
+    takes the index of the best (character, twist) grid cell, which is the
+    select_main_character index: refining the twist cannot change it."""
     if isinstance(chi1, str):
         if chi1 == "principal":
             return 0, "principal"
         if chi1 == "auto":
-            from .pretentious import select_main_character
+            from .pretentious import _grid_scan
 
-            sel = select_main_character(f, q, x, T=T, grid_dt=grid_dt,
-                                        refine_tol=refine_tol, table=table)
-            return sel.chi_index, "auto"
+            scan = _grid_scan(f, q, x, T, grid_dt, table, keep_rows=False)
+            return int(scan.argmins[scan.best]), "auto"
         raise DomainError(f"chi1 must be an index, 'principal' or 'auto', got {chi1!r}")
     idx = int(chi1)
     if not 0 <= idx < euler_phi(q, table):
@@ -110,7 +110,6 @@ def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
 
 def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
                   T: float | None = None, grid_dt: float | None = None,
-                  refine_tol: float = 1e-4,
                   table: PrimeTable | None = None) -> list[VarianceReport]:
     """The variance report of every modulus in qs, in order, from one pass
     over [1, x] that sums the classes of all of them.
@@ -118,15 +117,14 @@ def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
     Per coprime class a the deviation is sum_{n <= x, n = a (q)} f(n) minus
     the chi1 main term chi1(a)/phi(q) * sum_{n <= x} f(n) conj(chi1(n)); the
     variance is the sum of their squared moduli, normalized by
-    phi(q) (x/q)^2.  T/grid_dt/refine_tol only matter for chi1 = "auto".
+    phi(q) (x/q)^2.  T/grid_dt only matter for chi1 = "auto".
     """
     table = _require_table(table)
     qs = [int(q) for q in qs]
-    chosen = [resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt,
-                           refine_tol=refine_tol, table=table) for q in qs]
+    chosen = [resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt, table=table) for q in qs]
     reports = []
     for q, (idx, mode), B in zip(qs, chosen, _class_sums(f, qs, 1, math.floor(x), table)):
-        chi = characters(q)[idx]
+        chi = character(q, idx)
         phi = euler_phi(q, table)
         twisted_total = complex(np.conj(chi.table) @ B)
         devs = {int(a): complex(B[a] - chi.table[a] / phi * twisted_total)
@@ -154,12 +152,10 @@ def deviation(f: MultiplicativeFunction, q: int, x: float, chi1,
 
 def variance(f: MultiplicativeFunction, q: int, x: float, chi1,
              T: float | None = None, grid_dt: float | None = None,
-             refine_tol: float = 1e-4,
              table: PrimeTable | None = None) -> VarianceReport:
     """Sum of squared deviation moduli over coprime classes, normalized by
-    phi(q) (x/q)^2.  T/grid_dt/refine_tol only matter for chi1 = "auto"."""
-    return variance_scan(f, [q], x, chi1, T=T, grid_dt=grid_dt,
-                         refine_tol=refine_tol, table=table)[0]
+    phi(q) (x/q)^2.  T/grid_dt only matter for chi1 = "auto"."""
+    return variance_scan(f, [q], x, chi1, T=T, grid_dt=grid_dt, table=table)[0]
 
 
 def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
@@ -172,14 +168,13 @@ def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
     table = _require_table(table)
     xi = set(int(i) for i in xi_indices)
     phi = euler_phi(q, table)
-    chis = characters(q)
     if any(not 0 <= i < phi for i in xi):
         raise DomainError(f"character index set {sorted(xi)} out of range for q={q}")
     B = _class_sums(f, [q], 1, math.floor(x), table)[0]
     twisted = character_sums(q, B)
     lhs = math.fsum(abs(twisted[i]) ** 2 for i in range(phi) if i not in xi) / phi
     units = units_mod(q)
-    main = sum(chis[i].table[units] / phi * twisted[i] for i in xi)
+    main = sum(character(q, i).table[units] / phi * twisted[i] for i in xi)
     return lhs, math.fsum((np.abs(B[units] - main) ** 2).tolist())
 
 
@@ -221,7 +216,7 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
         raise DomainError(f"sample_step must be >= 1, got {sample_step}")
     _require_coverage(math.floor(2 * X + h), table)
     idx, _ = resolve_chi1(chi1, f, q, X, T=T, table=table)
-    chi = characters(q)[idx]
+    chi = character(q, idx)
     phi = euler_phi(q, table)
 
     B = _class_sums(f, [q], math.floor(X) + 1, math.floor(2 * X), table)[0]

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from progvar import (character_sums, characters, classify, eval_character, euler_phi,
-                     unit_group)
+from progvar import (DomainError, character, character_sums, characters, classify,
+                     eval_character, euler_phi, unit_group)
 
 
 def units_of(q):
@@ -60,6 +60,20 @@ def test_principal_is_index_zero_and_order_lexicographic():
     assert chis[0].is_principal
     exps = [c.exponents for c in chis]
     assert exps == sorted(exps)
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 12, 24, 101, 9973])
+def test_character_by_index_matches_list(q):
+    chis = characters(q)
+    indices = range(len(chis)) if q < 9973 else [0, 1, 2, 17, 4986, 6593, 9971]
+    for i in indices:
+        chi = character(q, i)
+        assert chi.index == i
+        assert chi.exponents == chis[i].exponents
+        assert np.array_equal(chi.table, chis[i].table)
+    for bad in (-1, len(chis)):
+        with pytest.raises(DomainError):
+            character(q, bad)
 
 
 def test_legendre_character_mod_5():

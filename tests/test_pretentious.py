@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from progvar import (DomainError, builtin, characters, distance_sq, halasz_M,
-                     parse_descriptor, select_main_character)
+import progvar.pretentious as pret
+from progvar import (DomainError, PrimeTable, builtin, character_sums, characters,
+                     distance_sq, halasz_M, parse_descriptor, select_main_character)
 from progvar.pretentious import default_grid_dt
+from progvar.variance import resolve_chi1
 
 
 def dense_distance(f, chi, t, x, q, table):
@@ -173,3 +175,73 @@ def test_selection_two_pass_fallback_matches(table, monkeypatch):
     assert len(twopass.trace) == len(cached.trace)
     for (t1, d1), (t2, d2) in zip(twopass.trace, cached.trace):
         assert t1 == t2 and abs(d1 - d2) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def big_table():
+    return PrimeTable(10_000_000)
+
+
+def bincount_sums(res, cur, q):
+    """The reference buckets: one weighted bincount per part."""
+    return (np.bincount(res, weights=cur.real, minlength=q),
+            np.bincount(res, weights=cur.imag, minlength=q))
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 101, 9973])
+@pytest.mark.parametrize("x", ["empty", "sparse", "1000q"])
+def test_rank_sums_bit_identical_to_bincount(big_table, q, x):
+    primes = big_table.primes_in(2, {"empty": 1, "sparse": 3 * q + 50, "1000q": 1000 * q}[x])
+    primes = primes[np.gcd(primes, q) == 1]
+    res = primes % q
+    order, cls, offs = pret._rank_plan(res, q)
+    assert sorted(order.tolist()) == list(range(len(primes)))
+    rng = np.random.default_rng(q)
+    w = rng.choice([-1.0, 0.0, 1.0], len(primes)) / primes
+    for t in (0.0, -1.3, 7.25):
+        cur = w * np.exp(-1j * t * np.log(primes.astype(float)))
+        got = pret._rank_sums(cur[order], cls, offs.tolist(), q)
+        re, im = bincount_sums(res, cur, q)
+        assert np.array_equal(got.real.view(np.uint64), re.view(np.uint64))
+        assert np.array_equal(got.imag.view(np.uint64), im.view(np.uint64))
+
+
+def bincount_selection(f, q, x, table):
+    """select_main_character with the grid rows bucketed by two weighted
+    bincounts over the primes in their natural order."""
+    primes, fp, logp, inv, const = pret._prime_data(f, x, q, 1, table)
+    T = math.log(x)
+    dt, ts = pret._twist_grid(x, T, None)
+    w = fp * inv
+    res = primes % q
+    rows = []
+    for cur in pret._phases(w, logp, ts, dt):
+        re, im = bincount_sums(res, cur, q)
+        rows.append(const - character_sums(q, re + 1j * im).real)
+    rows = np.array(rows)
+    argmins = rows.argmin(axis=1)
+    mins = rows[np.arange(len(ts)), argmins]
+    i = pret._grid_argmin(ts, mins, argmins)
+    chi_index = int(argmins[i])
+    chi_p = np.conj(characters(q)[chi_index].table[res])
+    t_star, refined = pret._best_twist(w * chi_p, logp, const, float(ts[i]), mins[i],
+                                       dt, T, 1e-4)
+    final = pret._fsum_distance(fp * chi_p * np.exp(-1j * t_star * logp), inv)
+    trace = [(float(t), float(d)) for t, d in zip(ts, rows[:, chi_index])]
+    if refined is not None:
+        trace.append(refined)
+    trace = [(t, final if t == t_star else d) for t, d in trace]
+    return chi_index, t_star, final, tuple(trace)
+
+
+@pytest.mark.parametrize("name", ["mobius", "liouville", "nit_twist:0.7"])
+def test_selection_equals_bincount_buckets(big_table, name):
+    f, table = parse_descriptor(name), big_table
+    cases = [(q, 100 * q + 1000) for q in (1, 2, 3, 4, 8, 12, 16, 24, 101, 997, 1000, 9973)]
+    if name == "mobius":
+        cases.append((9973, 9.973e6))
+    for q, x in cases:
+        sel = select_main_character(f, q, x, table=table)
+        assert (sel.chi_index, sel.t_star, sel.distance_sq, sel.trace) == \
+            bincount_selection(f, q, x, table), (q, x)
+        assert resolve_chi1("auto", f, q, x, table=table) == (sel.chi_index, "auto")
