@@ -96,7 +96,8 @@ def _range_arg(text):
 
 def _cmd_variance(args):
     f = parse_descriptor(args.f)
-    reports = variance_scan(f, args.q, args.x, args.chi1, T=args.T, grid_dt=args.grid_dt)
+    reports = variance_scan(f, args.q, args.x, args.chi1, T=args.T,
+                            grid_dt=args.grid_dt, refine_tol=args.refine_tol)
     # CSV writes only the named columns of each dict, not its deviations
     rows = [rep.to_dict() for rep in reports]
     payload = rows[0] if len(rows) == 1 else rows
@@ -261,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=None,
                    help="twist range for --chi1 auto (default log x)")
     p.add_argument("--grid-dt", type=float, default=None)
+    p.add_argument("--refine-tol", type=float, default=1e-4)
     common(p)
     p.set_defaults(run=_cmd_variance)
 

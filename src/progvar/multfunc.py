@@ -140,10 +140,13 @@ def evaluate_range(f: MultiplicativeFunction, lo: int, hi: int,
     residual = window_apply(lo, hi, table, math.inf, visit)
     tail = residual > 1
     if tail.any():
-        # at_primes runs before vals[tail] is gathered, so their temporaries
-        # never coexist; vals stays the left operand, which sets the rounding.
-        prod = f.at_primes(residual[tail])
-        vals[tail] = np.multiply(vals[tail], prod, out=prod)
+        # at_primes runs before vals[tail] is gathered, so residual[tail] is
+        # freed first; the product goes into the gathered copy, never into
+        # the array at_primes returned.
+        at_tail = f.at_primes(residual[tail])
+        part = vals[tail]
+        part *= at_tail
+        vals[tail] = part
     return vals
 
 

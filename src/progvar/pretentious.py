@@ -11,10 +11,12 @@ search (local unimodality assumed; acceptance checks against a dense-grid
 oracle).  On the grid, all phi(q) characters are handled at once: prime
 contributions are bucketed by residue class and transformed by one DFT over
 the unit-group component lattice (characters.character_sums); halasz_M is
-the single-character case.  The buckets are sums of contiguous slices, one
-per rank of a prime within its class, over primes sorted once by (rank,
-class); they add every class in prime order from 0.0, so they equal weighted
-np.bincount sums bit for bit, and the chosen index cannot move on rounding.
+the single-character case.  When the classes are many and each holds few
+primes, the buckets are sums of contiguous slices, one per rank of a prime
+within its class, over primes sorted once by (rank, class); otherwise they
+are two weighted np.bincount sums.  Both add every class in prime order from
+0.0, so they are equal bit for bit and the chosen index does not depend on
+which one ran.
 Reported minima are recomputed from scratch with compensated summation.
 """
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -171,9 +172,9 @@ def halasz_M(f: MultiplicativeFunction, x: float, T: float, q: int = 1,
     return _fsum_distance(fp * np.exp(-1j * t * logp), inv), t
 
 
-def _rank_plan(res, q):
-    """Order primes (residues res mod q, in prime order) so that class sums
-    are one contiguous slice per rank.
+def _rank_plan(res, counts):
+    """Order primes (residues res, in prime order; counts = bincount(res)) so
+    that class sums are one contiguous slice per rank.
 
     A prime's rank is its position in its class (0 for the smallest).  The
     order is by rank, then by class, with the classes that hold the most
@@ -181,10 +182,9 @@ def _rank_plan(res, q):
     order[offs[j]:offs[j + 1]] and their classes the prefix
     cls[:offs[j + 1] - offs[j]].  Returns (order, cls, offs).
     """
-    counts = np.bincount(res, minlength=q)
     cls = np.argsort(-counts, kind="stable")
-    pos = np.empty(q, dtype=np.intp)
-    pos[cls] = np.arange(q)
+    pos = np.empty(len(counts), dtype=np.intp)
+    pos[cls] = np.arange(len(counts))
     starts = np.cumsum(counts) - counts
     rank = np.empty(len(res), dtype=np.intp)
     rank[np.argsort(res, kind="stable")] = np.arange(len(res)) - np.repeat(starts, counts)
@@ -207,61 +207,6 @@ def _rank_sums(cur, cls, offs, q):
     return sums
 
 
-class _GridScan(NamedTuple):
-    prime_data: tuple  # (primes, fp, logp, inv, const) from _prime_data
-    T: float
-    dt: float
-    ts: np.ndarray
-    mins: np.ndarray  # smallest distance over the characters at each grid point
-    argmins: np.ndarray  # its smallest character index
-    best: int  # the winning grid point
-    rows: np.ndarray | None  # every character's distance at every point, if kept
-
-
-def _grid_scan(f, q, x, T, grid_dt, table, keep_rows=True):
-    """Distance from f to chi(n) n^{it} for every character mod q at every
-    grid twist |t| <= T (default log x).  The rows are kept when keep_rows and
-    phi(q) * len(ts) <= KEEP_ALL_LIMIT."""
-    primes, fp, logp, inv, const = _prime_data(f, x, q, 1, table)
-    if T is None:
-        T = math.log(x)
-    dt, ts = _twist_grid(x, T, grid_dt)
-    phi = unit_group(q).phi  # validates q before any % q
-    res = primes % q
-
-    # Bucket prime contributions by residue class, then one character_sums
-    # transform yields sum_p f(p) conj(chi(p)) p^{-it}/p for every character
-    # at once.  Rank slices cost a Python step per rank, so with more ranks
-    # than classes the buckets come from two bincounts, which add the same
-    # terms in the same order.
-    order, cls, offs = _rank_plan(res, q)
-    if len(offs) == 1 or len(offs) - 1 <= offs[1]:  # offs[1]: classes holding a prime
-        offs = offs.tolist()
-
-        def bucket(cur):
-            return _rank_sums(cur, cls, offs, q)
-    else:
-        res = res[order]
-
-        def bucket(cur):
-            return (np.bincount(res, weights=cur.real, minlength=q)
-                    + 1j * np.bincount(res, weights=cur.imag, minlength=q))
-
-    keep_rows = keep_rows and phi * len(ts) <= KEEP_ALL_LIMIT
-    rows = np.empty((len(ts), phi)) if keep_rows else None
-    mins = np.empty(len(ts))
-    argmins = np.empty(len(ts), dtype=np.intp)
-    w = fp * inv
-    for i, cur in enumerate(_phases(w[order], logp[order], ts, dt)):
-        dists = const - character_sums(q, bucket(cur)).real
-        if keep_rows:
-            rows[i] = dists
-        argmins[i] = np.argmin(dists)  # first minimum = smallest character index
-        mins[i] = dists[argmins[i]]
-    best = _grid_argmin(ts, mins, argmins)
-    return _GridScan((primes, fp, logp, inv, const), T, dt, ts, mins, argmins, best, rows)
-
-
 def select_main_character(f: MultiplicativeFunction, q: int, x: float,
                           T: float | None = None, grid_dt: float | None = None,
                           refine_tol: float = 1e-4,
@@ -269,20 +214,54 @@ def select_main_character(f: MultiplicativeFunction, q: int, x: float,
     """Minimize (chi, t) -> distance_sq(f, chi(n) n^{it}; x, q) over all
     characters mod q and |t| <= T (default log x).  Ties break toward the
     smaller character index, then smaller |t|, then negative t."""
-    scan = _grid_scan(f, q, x, T, grid_dt, table)
-    primes, fp, logp, inv, const = scan.prime_data
-    T, dt, ts, i = scan.T, scan.dt, scan.ts, scan.best
-    chi_index = int(scan.argmins[i])
-    chi_p = np.conj(character(q, chi_index).table[primes % q])
-    cw = fp * inv * chi_p
+    primes, fp, logp, inv, const = _prime_data(f, x, q, 1, table)
+    if T is None:
+        T = math.log(x)
+    dt, ts = _twist_grid(x, T, grid_dt)
+    phi = unit_group(q).phi  # validates q before any % q
+    w = fp * inv
+    res = primes % q
 
-    # Trace of the winning character over the grid; without the kept rows
-    # it is recomputed by a second pass.
-    if scan.rows is not None:
-        row = scan.rows[:, chi_index]
+    # Grid scan: bucket prime contributions by residue class, then one
+    # character_sums transform yields sum_p f(p) conj(chi(p)) p^{-it}/p for
+    # every character at once.  Rank slices (see _rank_sums) add the terms
+    # in the same order as two weighted bincounts, but cost one numpy call
+    # per rank, about as much as bincounting 250 primes, so they are taken
+    # only when the classes are many and each holds few primes.
+    counts = np.bincount(res, minlength=q)
+    if 250 * counts.max(initial=0) <= len(res):
+        order, cls, offs = _rank_plan(res, counts)
+        offs = offs.tolist()
+        phases = _phases(w[order], logp[order], ts, dt)
+
+        def bucket(cur):
+            return _rank_sums(cur, cls, offs, q)
     else:
-        row = _twist_row(cw, logp, ts, dt, const)
-    t_star, refined = _best_twist(cw, logp, const, float(ts[i]), scan.mins[i], dt, T, refine_tol)
+        phases = _phases(w, logp, ts, dt)
+
+        def bucket(cur):
+            return (np.bincount(res, weights=cur.real, minlength=q)
+                    + 1j * np.bincount(res, weights=cur.imag, minlength=q))
+
+    keep_all = phi * len(ts) <= KEEP_ALL_LIMIT
+    dist_rows = np.empty((len(ts), phi)) if keep_all else None
+    mins = np.empty(len(ts))
+    argmins = np.empty(len(ts), dtype=np.intp)
+    for i, cur in enumerate(phases):
+        dists = const - character_sums(q, bucket(cur)).real
+        if keep_all:
+            dist_rows[i] = dists
+        argmins[i] = np.argmin(dists)  # first minimum = smallest character index
+        mins[i] = dists[argmins[i]]
+    i = _grid_argmin(ts, mins, argmins)
+    chi_index = int(argmins[i])
+    chi_p = np.conj(character(q, chi_index).table[res])
+    cw = w * chi_p
+
+    # Trace of the winning character over the grid; above KEEP_ALL_LIMIT it
+    # is recomputed by a second pass instead of kept from the scan.
+    row = dist_rows[:, chi_index] if keep_all else _twist_row(cw, logp, ts, dt, const)
+    t_star, refined = _best_twist(cw, logp, const, float(ts[i]), mins[i], dt, T, refine_tol)
     final = _fsum_distance(fp * chi_p * np.exp(-1j * t_star * logp), inv)
     trace = [(float(t), float(d)) for t, d in zip(ts, row)]
     if refined is not None:

@@ -89,18 +89,18 @@ def _class_sums(f, qs, lo, hi, table):
 
 def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
                  T: float | None = None, grid_dt: float | None = None,
+                 refine_tol: float = 1e-4,
                  table: PrimeTable | None = None) -> tuple[int, str]:
-    """Map a chi1 argument (index, "principal", or "auto") to an index.  "auto"
-    takes the index of the best (character, twist) grid cell, which is the
-    select_main_character index: refining the twist cannot change it."""
+    """Map a chi1 argument (index, "principal", or "auto") to an index."""
     if isinstance(chi1, str):
         if chi1 == "principal":
             return 0, "principal"
         if chi1 == "auto":
-            from .pretentious import _grid_scan
+            from .pretentious import select_main_character
 
-            scan = _grid_scan(f, q, x, T, grid_dt, table, keep_rows=False)
-            return int(scan.argmins[scan.best]), "auto"
+            sel = select_main_character(f, q, x, T=T, grid_dt=grid_dt,
+                                        refine_tol=refine_tol, table=table)
+            return sel.chi_index, "auto"
         raise DomainError(f"chi1 must be an index, 'principal' or 'auto', got {chi1!r}")
     idx = int(chi1)
     if not 0 <= idx < euler_phi(q, table):
@@ -110,6 +110,7 @@ def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
 
 def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
                   T: float | None = None, grid_dt: float | None = None,
+                  refine_tol: float = 1e-4,
                   table: PrimeTable | None = None) -> list[VarianceReport]:
     """The variance report of every modulus in qs, in order, from one pass
     over [1, x] that sums the classes of all of them.
@@ -117,11 +118,12 @@ def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
     Per coprime class a the deviation is sum_{n <= x, n = a (q)} f(n) minus
     the chi1 main term chi1(a)/phi(q) * sum_{n <= x} f(n) conj(chi1(n)); the
     variance is the sum of their squared moduli, normalized by
-    phi(q) (x/q)^2.  T/grid_dt only matter for chi1 = "auto".
+    phi(q) (x/q)^2.  T/grid_dt/refine_tol only matter for chi1 = "auto".
     """
     table = _require_table(table)
     qs = [int(q) for q in qs]
-    chosen = [resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt, table=table) for q in qs]
+    chosen = [resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt,
+                           refine_tol=refine_tol, table=table) for q in qs]
     reports = []
     for q, (idx, mode), B in zip(qs, chosen, _class_sums(f, qs, 1, math.floor(x), table)):
         chi = character(q, idx)
@@ -152,10 +154,12 @@ def deviation(f: MultiplicativeFunction, q: int, x: float, chi1,
 
 def variance(f: MultiplicativeFunction, q: int, x: float, chi1,
              T: float | None = None, grid_dt: float | None = None,
+             refine_tol: float = 1e-4,
              table: PrimeTable | None = None) -> VarianceReport:
     """Sum of squared deviation moduli over coprime classes, normalized by
-    phi(q) (x/q)^2.  T/grid_dt only matter for chi1 = "auto"."""
-    return variance_scan(f, [q], x, chi1, T=T, grid_dt=grid_dt, table=table)[0]
+    phi(q) (x/q)^2.  T/grid_dt/refine_tol only matter for chi1 = "auto"."""
+    return variance_scan(f, [q], x, chi1, T=T, grid_dt=grid_dt,
+                         refine_tol=refine_tol, table=table)[0]
 
 
 def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from progvar import (CapacityError, DomainError, builtin, characters, evaluate_range,
-                     parse_descriptor, restrict_smooth)
+from progvar import (CapacityError, DomainError, MultiplicativeFunction, builtin, characters,
+                     evaluate_range, parse_descriptor, restrict_smooth)
 
 
 def pool(table_limit_hint=None):
@@ -65,6 +65,20 @@ def test_evaluate_range_edge_windows(table, lo, hi):
         vals = evaluate_range(f, lo, hi, table)
         pointwise = np.array([f(n, table) for n in range(lo, hi + 1)])
         assert np.abs(vals - pointwise).max() < 1e-12, (f.name, lo)
+
+
+def test_evaluate_range_leaves_prime_values_alone(table):
+    # mobius from prime values a caller keeps: a read-only broadcast and a
+    # view of a stored buffer, which evaluate_range must not write into
+    store = np.full(5000, -1, dtype=np.complex128)
+    fs = [MultiplicativeFunction("mu_ro", builtin("mobius").prime_power,
+                                 prime_vec=lambda ps: np.broadcast_to(np.complex128(-1), ps.shape)),
+          MultiplicativeFunction("mu_view", builtin("mobius").prime_power,
+                                 prime_vec=lambda ps: store[:len(ps)])]
+    mu = evaluate_range(builtin("mobius"), 1, 5000, table)
+    for f in fs:
+        assert np.array_equal(evaluate_range(f, 1, 5000, table), mu), f.name
+    assert np.all(store == -1)
 
 
 def test_evaluate_range_beyond_coverage_fails_before_allocating(table):
