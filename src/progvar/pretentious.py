@@ -226,10 +226,10 @@ def select_main_character(f: MultiplicativeFunction, q: int, x: float,
     # character_sums transform yields sum_p f(p) conj(chi(p)) p^{-it}/p for
     # every character at once.  Rank slices (see _rank_sums) add the terms
     # in the same order as two weighted bincounts, but cost one numpy call
-    # per rank, about as much as bincounting 250 primes, so they are taken
-    # only when the classes are many and each holds few primes.
+    # per rank, about as much as bincounting 250 to 500 primes, so they are
+    # taken only when there are at most 1/500 as many ranks as primes.
     counts = np.bincount(res, minlength=q)
-    if 250 * counts.max(initial=0) <= len(res):
+    if 500 * counts.max(initial=0) <= len(res):
         order, cls, offs = _rank_plan(res, counts)
         offs = offs.tolist()
         phases = _phases(w[order], logp[order], ts, dt)
