@@ -244,6 +244,13 @@ def character_sums(q: int, sums) -> np.ndarray:
     return np.fft.fftn(units.reshape(g.lattice_shape)).ravel()
 
 
+def residue_totals(res: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
+    """sum of w over each residue class mod q, res holding the residues; each
+    class is added in the order of w, from 0.0."""
+    return (np.bincount(res, weights=w.real, minlength=q)
+            + 1j * np.bincount(res, weights=w.imag, minlength=q))
+
+
 def eval_character(chi: DirichletCharacter, n: int) -> complex:
     """chi(n mod q); 0 when gcd(n, q) > 1; periodic with period q."""
     return chi(n)

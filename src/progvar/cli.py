@@ -194,6 +194,9 @@ def _cmd_smooth(args):
         value = psi_q(args.X, args.Y, args.q)
         row = {"mode": "psi", "X": args.X, "Y": args.Y, "q": args.q, "psi": value}
     elif args.mode == "ratio":
+        if not (1 <= args.X < math.inf and 1 < args.Y and 0 < args.delta < math.inf):
+            raise DomainError(f"ratio mode needs finite X >= 1, Y > 1 and finite delta > 0, "
+                              f"got X={args.X}, Y={args.Y}, delta={args.delta}")
         lo = psi_q(args.X, args.Y, args.q)
         hi = psi_q((1 + args.delta) * args.X, args.Y, args.q)
         u = math.log(args.X) / math.log(args.Y)
@@ -211,6 +214,9 @@ def _cmd_smooth(args):
 
 
 def _cmd_dickman_table(args):
+    if not (0 <= args.u_max < math.inf and 0 < args.step < math.inf):
+        raise DomainError(f"need finite u-max >= 0 and finite step > 0, "
+                          f"got u-max={args.u_max}, step={args.step}")
     rows = []
     n = int(round(args.u_max / args.step))
     for i in range(n + 1):
@@ -366,6 +372,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    previous = sieve._default_table
     if args.sieve_limit is not None:
         sieve._default_table = sieve.PrimeTable(args.sieve_limit)
     try:
@@ -377,6 +384,9 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"progvar: capacity error: {e}", file=sys.stderr)
         return 1
+    finally:
+        # --sieve-limit holds for this one command, not for later calls
+        sieve._default_table = previous
 
 
 if __name__ == "__main__":

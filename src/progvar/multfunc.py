@@ -155,12 +155,10 @@ def restrict_smooth(f: MultiplicativeFunction, y: float) -> MultiplicativeFuncti
     if y < 2:
         raise DomainError(f"smooth restriction needs y >= 2, got {y}")
     yv = float(y)
-    base_vec = f.prime_vec
 
     def vec(ps):
         ps = np.asarray(ps)
-        out = f.at_primes(ps) if base_vec is None else np.asarray(base_vec(ps), dtype=np.complex128)
-        return np.where(ps <= yv, out, 0.0)
+        return np.where(ps <= yv, f.at_primes(ps), 0.0)
 
     return MultiplicativeFunction(
         f"{f.name}|smooth:{y:g}",

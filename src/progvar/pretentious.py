@@ -27,16 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import character, character_sums, unit_group
+from .characters import character, character_sums, residue_totals, unit_group
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction
 from .sieve import PrimeTable, _require_table
 
 GOLDEN = (math.sqrt(5) - 1) / 2
-
-# Above this many (character, grid point) cells the scan stops keeping the
-# full distance matrix and recomputes the winner's trace in a second pass.
-KEEP_ALL_LIMIT = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,6 @@ class MainCharacterSelection:
     chi_index: int
     t_star: float
     distance_sq: float
-    trace: tuple[tuple[float, float], ...]  # (t, distance^2) at evaluated grid points
 
 
 def _prime_data(f, x, q, y, table):
@@ -144,18 +139,17 @@ def _golden_refine(func, a, b, tol):
 
 def _best_twist(w, logp, const, t, d, dt, T, refine_tol):
     """Refine the grid minimum d at t of const - Re sum_p w_p p^{-it} over the
-    neighbouring cells within |t| <= T.  Returns the better twist and the
-    refined (t, value), or None when no refinement ran."""
+    neighbouring cells within |t| <= T.  Returns the better twist."""
     lo = max(-T, t - dt)
     hi = min(T, t + dt)
     if not (hi > lo and refine_tol > 0):
-        return t, None
+        return t
 
     def dist_at(s):
         return const - (w * np.exp(-1j * s * logp)).real.sum()
 
     rt, rd = _golden_refine(dist_at, lo, hi, refine_tol)
-    return (float(rt) if rd < d else t), (float(rt), float(rd))
+    return float(rt) if rd < d else t
 
 
 def halasz_M(f: MultiplicativeFunction, x: float, T: float, q: int = 1,
@@ -168,7 +162,7 @@ def halasz_M(f: MultiplicativeFunction, x: float, T: float, q: int = 1,
     w = fp * inv
     row = _twist_row(w, logp, ts, dt, const)
     i = _grid_argmin(ts, row)
-    t, _ = _best_twist(w, logp, const, float(ts[i]), row[i], dt, T, refine_tol)
+    t = _best_twist(w, logp, const, float(ts[i]), row[i], dt, T, refine_tol)
     return _fsum_distance(fp * np.exp(-1j * t * logp), inv), t
 
 
@@ -218,7 +212,7 @@ def select_main_character(f: MultiplicativeFunction, q: int, x: float,
     if T is None:
         T = math.log(x)
     dt, ts = _twist_grid(x, T, grid_dt)
-    phi = unit_group(q).phi  # validates q before any % q
+    unit_group(q)  # validates q before any % q
     w = fp * inv
     res = primes % q
 
@@ -240,32 +234,17 @@ def select_main_character(f: MultiplicativeFunction, q: int, x: float,
         phases = _phases(w, logp, ts, dt)
 
         def bucket(cur):
-            return (np.bincount(res, weights=cur.real, minlength=q)
-                    + 1j * np.bincount(res, weights=cur.imag, minlength=q))
+            return residue_totals(res, cur, q)
 
-    keep_all = phi * len(ts) <= KEEP_ALL_LIMIT
-    dist_rows = np.empty((len(ts), phi)) if keep_all else None
     mins = np.empty(len(ts))
     argmins = np.empty(len(ts), dtype=np.intp)
     for i, cur in enumerate(phases):
         dists = const - character_sums(q, bucket(cur)).real
-        if keep_all:
-            dist_rows[i] = dists
         argmins[i] = np.argmin(dists)  # first minimum = smallest character index
         mins[i] = dists[argmins[i]]
     i = _grid_argmin(ts, mins, argmins)
     chi_index = int(argmins[i])
     chi_p = np.conj(character(q, chi_index).table[res])
-    cw = w * chi_p
-
-    # Trace of the winning character over the grid; above KEEP_ALL_LIMIT it
-    # is recomputed by a second pass instead of kept from the scan.
-    row = dist_rows[:, chi_index] if keep_all else _twist_row(cw, logp, ts, dt, const)
-    t_star, refined = _best_twist(cw, logp, const, float(ts[i]), mins[i], dt, T, refine_tol)
+    t_star = _best_twist(w * chi_p, logp, const, float(ts[i]), mins[i], dt, T, refine_tol)
     final = _fsum_distance(fp * chi_p * np.exp(-1j * t_star * logp), inv)
-    trace = [(float(t), float(d)) for t, d in zip(ts, row)]
-    if refined is not None:
-        trace.append(refined)
-    # Keep the recomputed value as the t_star entry so the trace is consistent.
-    trace = [(t, final if t == t_star else d) for t, d in trace]
-    return MainCharacterSelection(chi_index, t_star, final, tuple(trace))
+    return MainCharacterSelection(chi_index, t_star, final)

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import DirichletCharacter, character_sums, characters, unit_group
+from .characters import (DirichletCharacter, character_sums, characters, residue_totals,
+                         unit_group)
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
 from .sieve import (PrimeTable, _require_table, euler_phi, factor,
@@ -45,12 +46,6 @@ def _coeff_values(coeffs, primes: np.ndarray) -> np.ndarray:
     if isinstance(coeffs, MultiplicativeFunction):
         return coeffs.at_primes(primes)
     return np.array([coeffs(int(p)) for p in primes], dtype=np.complex128)
-
-
-def _residue_totals(res: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
-    """sum of w over each residue class mod q, res holding the residues."""
-    return (np.bincount(res, weights=w.real, minlength=q)
-            + 1j * np.bincount(res, weights=w.imag, minlength=q))
 
 
 def _twisted(a: np.ndarray, ns: np.ndarray, chi: DirichletCharacter, t: float) -> np.ndarray:
@@ -117,7 +112,7 @@ def large_value_census(q: int, t_grid, P: float, delta: float, coeffs,
     res = primes % q
     logp = np.log(primes.astype(float))
     sums = np.stack([
-        character_sums(q, _residue_totals(
+        character_sums(q, residue_totals(
             res, a if t == 0.0 else a * np.exp(-1j * t * logp), q))
         for t in ts
     ], axis=1)  # sums[chi index, twist]
@@ -146,7 +141,7 @@ def sup_norm_scan(f: MultiplicativeFunction, q: int, x: float, y_grid, t_grid,
     for t in t_grid:
         w = vals if t == 0.0 else vals * np.exp(-1j * float(t) * logn)
         for y in ys:
-            sums = character_sums(q, _residue_totals(res[:y], w[:y], q))[others]
+            sums = character_sums(q, residue_totals(res[:y], w[:y], q))[others]
             best = max(best, float(np.abs(sums).max()) / y)
     return best
 
@@ -228,7 +223,7 @@ def mean_value_ratio(q: int, a_values, M: int = 0,
     coprime = np.gcd(ns, q) == 1
     phi = euler_phi(q, table)
 
-    class_sums = _residue_totals(res, a, q)
+    class_sums = residue_totals(res, a, q)
 
     lhs = 0.0
     for chi in characters(q):

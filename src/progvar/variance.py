@@ -122,6 +122,8 @@ def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
     """
     table = _require_table(table)
     qs = [int(q) for q in qs]
+    if any(q < 1 for q in qs):
+        raise DomainError(f"moduli must be positive integers, got {qs}")
     chosen = [resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt,
                            refine_tol=refine_tol, table=table) for q in qs]
     reports = []

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from progvar import cli, linnik, parse_descriptor, variance
+from progvar import PrimeTable, cli, linnik, parse_descriptor, sieve, variance
 from progvar.cli import main
 
 variance_mod = importlib.import_module("progvar.variance")
@@ -48,11 +48,35 @@ def test_help_exits_zero(capsys):
     assert "variance" in out
 
 
-def test_invalid_modulus_exits_2(capsys):
-    code, _, err = run(capsys, "variance", "--f", "mobius", "--q", "0", "--x", "10",
-                       "--sieve-limit", "10000")
+@pytest.mark.parametrize("q", ["0", "-3"])
+@pytest.mark.parametrize("chi1", ["auto", "principal"])
+def test_invalid_modulus_exits_2(capsys, chi1, q):
+    code, out, err = run(capsys, "variance", "--f", "mobius", "--q", q, "--x", "10",
+                         "--chi1", chi1, "--sieve-limit", "10000")
     assert code == 2
-    assert "progvar" in err
+    assert out == ""
+    assert "progvar: invalid arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--mode", "ratio", "--X", "0", "--Y", "10"],
+    ["smooth", "--mode", "ratio", "--X", "100", "--Y", "1"],
+    ["dickman-table", "--step", "0"],
+    ["dickman-table", "--u-max", "nan"],
+])
+def test_invalid_smooth_and_dickman_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--sieve-limit", "10000")
+    assert code == 2
+    assert out == ""
+    assert "progvar: invalid arguments" in err
+
+
+def test_sieve_limit_holds_for_one_command(capsys, monkeypatch):
+    monkeypatch.setattr(sieve, "_default_table", PrimeTable(1000))
+    before = sieve.default_table()
+    code, _, _ = run(capsys, "character", "--q", "8", "--sieve-limit", "10000")
+    assert code == 0
+    assert sieve.default_table() is before
 
 
 def test_unknown_function_exits_2(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,28 +154,30 @@ def test_select_mobius_matches_dense_oracle(table):
 
 def test_selection_trace_invariants(table):
     mob = builtin("mobius")
-    sel = select_main_character(mob, 5, 5000, table=table)
-    d_re = dense_distance(mob, characters(5)[sel.chi_index], sel.t_star, 5000, 5, table)
+    q, x = 5, 5000
+    sel = select_main_character(mob, q, x, table=table)
+    winner = characters(q)[sel.chi_index]
+    d_re = dense_distance(mob, winner, sel.t_star, x, q, table)
     assert abs(sel.distance_sq - d_re) < 1e-9  # recompute from scratch
-    assert all(sel.distance_sq <= d + 1e-9 for _, d in sel.trace)
-    ts = [t for t, _ in sel.trace]
-    assert any(abs(t) < 1e-12 for t in ts)  # grid covers t = 0
+    _, ts = pret._twist_grid(x, math.log(x), None)
+    g = builtin("character", chi=winner)
+    assert all(sel.distance_sq <= distance_sq(mob, g, x, q, g_twist=float(t), table=table) + 1e-9
+               for t in ts)
+    assert 0.0 in ts  # grid covers t = 0
 
 
-def test_selection_two_pass_fallback_matches(table, monkeypatch):
-    # force the second-pass trace and check it agrees with the kept scan rows
-    import progvar.pretentious as pret
-
-    mob = builtin("mobius")
-    cached = select_main_character(mob, 12, 4000, table=table)
-    monkeypatch.setattr(pret, "KEEP_ALL_LIMIT", 0)
-    twopass = select_main_character(mob, 12, 4000, table=table)
-    assert twopass.chi_index == cached.chi_index
-    assert abs(twopass.t_star - cached.t_star) < 1e-12
-    assert abs(twopass.distance_sq - cached.distance_sq) < 1e-12
-    assert len(twopass.trace) == len(cached.trace)
-    for (t1, d1), (t2, d2) in zip(twopass.trace, cached.trace):
-        assert t1 == t2 and abs(d1 - d2) < 1e-9
+def test_selection_peak_memory_is_below_grid_matrix(big_table):
+    # a phi x grid matrix of distances would need phi * len(grid) * 8 bytes
+    q, x = 9973, 997_300
+    _, ts = pret._twist_grid(x, math.log(x), None)
+    matrix_bytes = (q - 1) * len(ts) * 8
+    tracemalloc.start()
+    try:
+        select_main_character(builtin("mobius"), q, x, table=big_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 2, (peak, matrix_bytes)
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +210,9 @@ def test_rank_sums_bit_identical_to_bincount(big_table, q, x):
 
 
 def bincount_selection(f, q, x, table):
-    """select_main_character with the grid rows bucketed by two weighted
-    bincounts over the primes in their natural order."""
+    """(chi_index, t_star, distance_sq) of select_main_character with the grid
+    rows bucketed by two weighted bincounts over the primes in their natural
+    order."""
     primes, fp, logp, inv, const = pret._prime_data(f, x, q, 1, table)
     T = math.log(x)
     dt, ts = pret._twist_grid(x, T, None)
@@ -224,14 +228,9 @@ def bincount_selection(f, q, x, table):
     i = pret._grid_argmin(ts, mins, argmins)
     chi_index = int(argmins[i])
     chi_p = np.conj(characters(q)[chi_index].table[res])
-    t_star, refined = pret._best_twist(w * chi_p, logp, const, float(ts[i]), mins[i],
-                                       dt, T, 1e-4)
+    t_star = pret._best_twist(w * chi_p, logp, const, float(ts[i]), mins[i], dt, T, 1e-4)
     final = pret._fsum_distance(fp * chi_p * np.exp(-1j * t_star * logp), inv)
-    trace = [(float(t), float(d)) for t, d in zip(ts, rows[:, chi_index])]
-    if refined is not None:
-        trace.append(refined)
-    trace = [(t, final if t == t_star else d) for t, d in trace]
-    return chi_index, t_star, final, tuple(trace)
+    return chi_index, t_star, final
 
 
 @pytest.mark.parametrize("name", ["mobius", "liouville", "nit_twist:0.7"])
@@ -242,6 +241,6 @@ def test_selection_equals_bincount_buckets(big_table, name):
         cases.append((9973, 9.973e6))
     for q, x in cases:
         sel = select_main_character(f, q, x, table=table)
-        assert (sel.chi_index, sel.t_star, sel.distance_sq, sel.trace) == \
+        assert (sel.chi_index, sel.t_star, sel.distance_sq) == \
             bincount_selection(f, q, x, table), (q, x)
         assert resolve_chi1("auto", f, q, x, table=table) == (sel.chi_index, "auto")
