@@ -233,15 +233,21 @@ def character(q: int, index: int) -> DirichletCharacter:
 
 
 def character_sums(q: int, sums) -> np.ndarray:
-    """sum_a sums[a] conj(chi(a)) for every character chi mod q, in index order.
+    """sum_a sums[..., a] conj(chi(a)) for every character chi mod q, in index
+    order along the last axis.
 
-    sums is indexed by residue mod q.  One DFT over the unit-group component
-    lattice: its C-order output is the lexicographic exponent order, which is
-    the character index order.
+    sums has shape (..., q), its last axis indexed by residue mod q.  One DFT
+    over the trailing unit-group component lattice axes transforms every
+    leading index at once: its C-order output is the lexicographic exponent
+    order, which is the character index order.  Each leading index gets the
+    same values, bit for bit, as a call on that row alone.
     """
     g = unit_group(q)
-    units = np.asarray(sums)[g.unit_residues]
-    return np.fft.fftn(units.reshape(g.lattice_shape)).ravel()
+    units = np.asarray(sums)[..., g.unit_residues]
+    lead = units.shape[:-1]
+    lattice = units.reshape(lead + g.lattice_shape)
+    axes = tuple(range(len(lead), lattice.ndim))
+    return np.fft.fftn(lattice, axes=axes).reshape(lead + (g.phi,))
 
 
 def residue_totals(res: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:

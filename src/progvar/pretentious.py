@@ -16,8 +16,13 @@ primes, the buckets are sums of contiguous slices, one per rank of a prime
 within its class, over primes sorted once by (rank, class); otherwise they
 are two weighted np.bincount sums.  Both add every class in prime order from
 0.0, so they are equal bit for bit and the chosen index does not depend on
-which one ran.
+which one ran.  The bucketed rows go through the transform in batches that
+fill a buffer of about 1 MiB (6 rows at q near 1e4), one character_sums
+call per batch; every row's values equal a one-row call bit for bit, so
+the batch size cannot move the chosen index either.
 Reported minima are recomputed from scratch with compensated summation.
+With refine_tol = 0 (variance's chi1 = "auto", which needs only the index)
+the grid twist is reported unrefined.
 """
 
 from __future__ import annotations
@@ -201,6 +206,12 @@ def _rank_sums(cur, cls, offs, q):
     return sums
 
 
+def _batch_rows(q, points):
+    """Grid rows per character_sums call: a buffer of about 1 MiB of class
+    sums, capped at the number of grid points."""
+    return max(1, min(points, 65536 // q))
+
+
 def select_main_character(f: MultiplicativeFunction, q: int, x: float,
                           T: float | None = None, grid_dt: float | None = None,
                           refine_tol: float = 1e-4,
@@ -236,12 +247,21 @@ def select_main_character(f: MultiplicativeFunction, q: int, x: float,
         def bucket(cur):
             return residue_totals(res, cur, q)
 
+    # The rows are transformed in batches: one character_sums call per
+    # batch, whose rows equal one-row calls bit for bit.
+    rows = _batch_rows(q, len(ts))
+    batch = np.empty((rows, q), dtype=np.complex128)
     mins = np.empty(len(ts))
     argmins = np.empty(len(ts), dtype=np.intp)
     for i, cur in enumerate(phases):
-        dists = const - character_sums(q, bucket(cur)).real
-        argmins[i] = np.argmin(dists)  # first minimum = smallest character index
-        mins[i] = dists[argmins[i]]
+        k = i % rows
+        batch[k] = bucket(cur)
+        if k == rows - 1 or i == len(ts) - 1:
+            dists = const - character_sums(q, batch[:k + 1]).real
+            done = slice(i - k, i + 1)
+            # first minimum = smallest character index
+            argmins[done] = np.argmin(dists, axis=1)
+            mins[done] = dists[np.arange(k + 1), argmins[done]]
     i = _grid_argmin(ts, mins, argmins)
     chi_index = int(argmins[i])
     chi_p = np.conj(character(q, chi_index).table[res])

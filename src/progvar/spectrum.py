@@ -4,7 +4,8 @@ decomposition sums, and empirical mean-value ratios.
 
 p^{-it} factors are computed as exp(-i t log p), the logarithms once per
 scan.  Censuses and sup-norm scans bucket by residue class and take one
-characters.character_sums transform per twist for all characters.
+characters.character_sums transform for all characters: a census over all
+its twists at once, a sup-norm scan per twist over all its y.
 Reweighting checks run in exact rational arithmetic; bulk sums use doubles.
 """
 
@@ -100,9 +101,10 @@ def large_value_census(q: int, t_grid, P: float, delta: float, coeffs,
                        eps: float, table: PrimeTable | None = None):
     """All pairs (chi, t) with |(log P)/(delta P) * prime_char_sum| >= eps.
 
-    Each twist buckets a_p p^{-it} by residue class and takes one
-    character_sums transform for all characters.  Returns (count, points)
-    with points ordered by chi index, then by t in grid order.
+    Each twist buckets a_p p^{-it} by residue class, and one
+    character_sums transform takes every twist and character at once.
+    Returns (count, points) with points ordered by chi index, then by t in
+    grid order.
     """
     ts = [float(t) for t in t_grid]
     if not (len(ts) == 1 and ts[0] == 0.0):
@@ -111,11 +113,11 @@ def large_value_census(q: int, t_grid, P: float, delta: float, coeffs,
     primes, a = _prime_window(P, delta, coeffs, table)
     res = primes % q
     logp = np.log(primes.astype(float))
-    sums = np.stack([
-        character_sums(q, residue_totals(
-            res, a if t == 0.0 else a * np.exp(-1j * t * logp), q))
+    buckets = np.stack([
+        residue_totals(res, a if t == 0.0 else a * np.exp(-1j * t * logp), q)
         for t in ts
-    ], axis=1)  # sums[chi index, twist]
+    ])
+    sums = character_sums(q, buckets).T  # sums[chi index, twist]
     scale = math.log(P) / (delta * P)
     points = [SpectrumPoint(int(i), ts[j], complex(sums[i, j]))
               for i, j in np.argwhere(scale * np.abs(sums) >= eps)]
@@ -140,9 +142,9 @@ def sup_norm_scan(f: MultiplicativeFunction, q: int, x: float, y_grid, t_grid,
     best = 0.0
     for t in t_grid:
         w = vals if t == 0.0 else vals * np.exp(-1j * float(t) * logn)
-        for y in ys:
-            sums = character_sums(q, residue_totals(res[:y], w[:y], q))[others]
-            best = max(best, float(np.abs(sums).max()) / y)
+        buckets = np.stack([residue_totals(res[:y], w[:y], q) for y in ys])
+        peaks = np.abs(character_sums(q, buckets)[:, others]).max(axis=1)
+        best = max(best, *(float(m) / y for m, y in zip(peaks, ys)))
     return best
 
 

@@ -87,11 +87,19 @@ def _class_sums(f, qs, lo, hi, table):
     return sums
 
 
+def _require_x(x):
+    """Class sums run over 1 <= n <= x: x must be finite and at least 1."""
+    if not 1 <= x < math.inf:
+        raise DomainError(f"need finite x >= 1, got {x}")
+
+
 def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
                  T: float | None = None, grid_dt: float | None = None,
-                 refine_tol: float = 1e-4,
                  table: PrimeTable | None = None) -> tuple[int, str]:
-    """Map a chi1 argument (index, "principal", or "auto") to an index."""
+    """Map a chi1 argument (index, "principal", or "auto") to an index.
+
+    "auto" takes the index of select_main_character, which the grid scan
+    fixes before any refinement of the twist, so it skips the refinement."""
     if isinstance(chi1, str):
         if chi1 == "principal":
             return 0, "principal"
@@ -99,7 +107,7 @@ def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
             from .pretentious import select_main_character
 
             sel = select_main_character(f, q, x, T=T, grid_dt=grid_dt,
-                                        refine_tol=refine_tol, table=table)
+                                        refine_tol=0, table=table)
             return sel.chi_index, "auto"
         raise DomainError(f"chi1 must be an index, 'principal' or 'auto', got {chi1!r}")
     idx = int(chi1)
@@ -110,7 +118,6 @@ def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
 
 def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
                   T: float | None = None, grid_dt: float | None = None,
-                  refine_tol: float = 1e-4,
                   table: PrimeTable | None = None) -> list[VarianceReport]:
     """The variance report of every modulus in qs, in order, from one pass
     over [1, x] that sums the classes of all of them.
@@ -118,14 +125,15 @@ def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
     Per coprime class a the deviation is sum_{n <= x, n = a (q)} f(n) minus
     the chi1 main term chi1(a)/phi(q) * sum_{n <= x} f(n) conj(chi1(n)); the
     variance is the sum of their squared moduli, normalized by
-    phi(q) (x/q)^2.  T/grid_dt/refine_tol only matter for chi1 = "auto".
+    phi(q) (x/q)^2.  T/grid_dt only matter for chi1 = "auto".
     """
+    _require_x(x)
     table = _require_table(table)
     qs = [int(q) for q in qs]
     if any(q < 1 for q in qs):
         raise DomainError(f"moduli must be positive integers, got {qs}")
-    chosen = [resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt,
-                           refine_tol=refine_tol, table=table) for q in qs]
+    chosen = [resolve_chi1(chi1, f, q, x, T=T, grid_dt=grid_dt, table=table)
+              for q in qs]
     reports = []
     for q, (idx, mode), B in zip(qs, chosen, _class_sums(f, qs, 1, math.floor(x), table)):
         chi = character(q, idx)
@@ -156,12 +164,10 @@ def deviation(f: MultiplicativeFunction, q: int, x: float, chi1,
 
 def variance(f: MultiplicativeFunction, q: int, x: float, chi1,
              T: float | None = None, grid_dt: float | None = None,
-             refine_tol: float = 1e-4,
              table: PrimeTable | None = None) -> VarianceReport:
     """Sum of squared deviation moduli over coprime classes, normalized by
-    phi(q) (x/q)^2.  T/grid_dt/refine_tol only matter for chi1 = "auto"."""
-    return variance_scan(f, [q], x, chi1, T=T, grid_dt=grid_dt,
-                         refine_tol=refine_tol, table=table)[0]
+    phi(q) (x/q)^2.  T/grid_dt only matter for chi1 = "auto"."""
+    return variance_scan(f, [q], x, chi1, T=T, grid_dt=grid_dt, table=table)[0]
 
 
 def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
@@ -171,6 +177,7 @@ def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
       (1/phi) sum_{chi not in Xi} |sum_{n<=x} f(n) conj(chi(n))|^2
         = sum*_a |sum_{n=a(q)} f(n) - sum_{chi in Xi} chi(a)/phi * S_chi|^2.
     """
+    _require_x(x)
     table = _require_table(table)
     xi = set(int(i) for i in xi_indices)
     phi = euler_phi(q, table)

@@ -160,6 +160,19 @@ def test_character_sums_match_tables():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), q
 
 
+@pytest.mark.parametrize("lead", [(5,), (3, 4)])
+def test_batched_character_sums_bit_identical_to_rows(lead):
+    # 120, 240 and 1000 have lattices of three to four axes
+    rng = np.random.default_rng(11)
+    for q in list(range(1, 65)) + [120, 240, 1000]:
+        sums = rng.uniform(-1, 1, lead + (q,)) + 1j * rng.uniform(-1, 1, lead + (q,))
+        got = character_sums(q, sums)
+        assert got.shape == lead + (unit_group(q).phi,)
+        want = np.stack([character_sums(q, row) for row in sums.reshape(-1, q)])
+        assert np.array_equal(np.ascontiguousarray(got).reshape(want.shape).view(np.uint64),
+                              want.view(np.uint64)), q
+
+
 def brute_induced(chi):
     """Find by brute force the character mod conductor(chi) agreeing with chi."""
     d = chi.conductor()

@@ -71,6 +71,33 @@ def test_invalid_smooth_and_dickman_arguments_exit_2(capsys, argv):
     assert "progvar: invalid arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["variance", "--x", "nan", "--chi1", "principal"],
+    ["variance", "--x", "0", "--chi1", "principal"],
+    ["variance", "--x", "0.5", "--chi1", "principal"],
+    ["variance", "--x", "inf", "--chi1", "principal"],
+    ["variance", "--x", "inf", "--chi1", "auto"],
+    ["variance", "--x=-inf", "--chi1", "auto"],
+    ["parseval", "--x", "inf"],
+    ["parseval", "--x", "nan"],
+    ["parseval", "--x", "0"],
+])
+def test_non_finite_or_small_x_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--f", "mobius", "--q", "7", *argv[1:],
+                         "--sieve-limit", "10000")
+    assert code == 2
+    assert out == ""
+    assert "progvar: invalid arguments" in err
+
+
+def test_refine_tol_option_is_gone(capsys):
+    code, out, err = run(capsys, "variance", "--f", "mobius", "--q", "5", "--x", "1000",
+                         "--refine-tol", "0.1", "--sieve-limit", "10000")
+    assert code == 2
+    assert out == ""
+    assert "--refine-tol" in err
+
+
 def test_sieve_limit_holds_for_one_command(capsys, monkeypatch):
     monkeypatch.setattr(sieve, "_default_table", PrimeTable(1000))
     before = sieve.default_table()

@@ -244,3 +244,27 @@ def test_selection_equals_bincount_buckets(big_table, name):
         assert (sel.chi_index, sel.t_star, sel.distance_sq) == \
             bincount_selection(f, q, x, table), (q, x)
         assert resolve_chi1("auto", f, q, x, table=table) == (sel.chi_index, "auto")
+
+
+@pytest.mark.parametrize("rows", [1, 3, "over"])
+def test_selection_independent_of_batch_rows(big_table, monkeypatch, rows):
+    # q = 12 buckets by bincounts, q = 997 and 9973 by rank slices; T = 0 is
+    # a one-point grid
+    cases = [(name, q, 100 * q + 1000, T) for name in ("mobius", "nit_twist:0.7")
+             for q in (12, 997, 9973) for T in (None, 0.0)]
+    want = {}
+    for name, q, x, T in cases:
+        sel = select_main_character(parse_descriptor(name), q, x, T, table=big_table)
+        want[name, q, x, T] = (sel.chi_index, sel.t_star, sel.distance_sq)
+    patched = []
+
+    def batch_rows(q, points):
+        patched.append(points)
+        return points + 2 if rows == "over" else rows
+
+    monkeypatch.setattr(pret, "_batch_rows", batch_rows)
+    for name, q, x, T in cases:
+        sel = select_main_character(parse_descriptor(name), q, x, T, table=big_table)
+        assert (sel.chi_index, sel.t_star, sel.distance_sq) == want[name, q, x, T], \
+            (name, q, x, T)
+    assert len(patched) == len(cases)
