@@ -7,7 +7,7 @@ twisted character-sum scans, and Linnik-type least-element searches.
 
 from .characters import (CharacterFlags, DirichletCharacter, UnitGroupStructure,
                          character, character_sums, characters, classify,
-                         eval_character, unit_group)
+                         unit_group)
 from .errors import CapacityError, DomainError
 from .linnik import (LinnikScanResult, e3_least, e3_star_logsum, least_qnr,
                      linnik_L3, linnik_mobius, linnik_scan, mobius_least,

@@ -16,6 +16,11 @@ Character indexing contract: characters(q)[0] is principal and the sequence
 is ordered lexicographically by exponent vector (C-order over the component
 lattice).  Reports reference characters by this index; character(q, index)
 builds one of them without the other phi(q) - 1.
+
+Class sums by residue mod q, the input of character_sums, are built here
+too, in one of two layouts: range_class_sums for consecutive n and
+class_summer for a fixed set of terms.  Both add every class in term order
+from 0.0, so they equal weighted np.bincount sums bit for bit.
 """
 
 from __future__ import annotations
@@ -250,16 +255,71 @@ def character_sums(q: int, sums) -> np.ndarray:
     return np.fft.fftn(lattice, axes=axes).reshape(lead + (g.phi,))
 
 
-def residue_totals(res: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
-    """sum of w over each residue class mod q, res holding the residues; each
-    class is added in the order of w, from 0.0."""
-    return (np.bincount(res, weights=w.real, minlength=q)
-            + 1j * np.bincount(res, weights=w.imag, minlength=q))
+def _add_rows(block, out):
+    """Add to out the column sums of block, each column summed in row order.
+
+    Added to zeros, every column equals a sum of its rows started from 0.0,
+    bit for bit: the column sum differs from that only in the sign of a zero.
+    numpy reduces one column pairwise, and a block a few columns wide row by
+    row at several times the cost per term, so up to 4 columns each column
+    takes the last of its running sums."""
+    if block.shape[1] > 4:
+        out += block.sum(axis=0)
+    elif len(block):
+        for j, col in enumerate(block.T):
+            out[j] += np.add.accumulate(col)[-1]
 
 
-def eval_character(chi: DirichletCharacter, n: int) -> complex:
-    """chi(n mod q); 0 when gcd(n, q) > 1; periodic with period q."""
-    return chi(n)
+def range_class_sums(vals, lo: int, q: int) -> np.ndarray:
+    """S[r] = sum of vals[i] over lo + i = r (mod q), each class added in
+    order of i from 0.0.
+
+    Zero padding aligns the block with lo mod q, so row k of the (-1, q)
+    reshape holds n = q*k + r and summing over rows adds each class in order.
+    """
+    lead = lo % q
+    rows = -(-(lead + len(vals)) // q)
+    padded = np.zeros(rows * q, dtype=vals.dtype)
+    padded[lead:lead + len(vals)] = vals
+    out = np.zeros(q, dtype=vals.dtype)
+    _add_rows(padded.reshape(rows, q), out)
+    return out
+
+
+def class_summer(res: np.ndarray, q: int):
+    """Class sums mod q of many value rows over one set of terms, res
+    holding the terms' residues.  Returns (order, sums): sums(vals[order])
+    is the array of the q class sums of vals, each class added in term order
+    from 0.0, so it equals np.bincount(res, weights=...) of the real and the
+    imaginary part bit for bit.
+
+    A term's rank is its position among the terms of its class.  order sorts
+    the terms by rank, then by class, the classes that hold the most terms
+    first (ties by residue).  The first head ranks are reached by every
+    nonempty class, so they form one (head, classes) block; each later rank
+    is one slice, added to a prefix of the classes.
+    """
+    counts = np.bincount(res, minlength=q)
+    cls = np.argsort(-counts, kind="stable")
+    pos = np.empty(q, dtype=np.intp)
+    pos[cls] = np.arange(q)
+    starts = np.cumsum(counts) - counts
+    rank = np.empty(len(res), dtype=np.intp)
+    rank[np.argsort(res, kind="stable")] = np.arange(len(res)) - np.repeat(starts, counts)
+    order = np.lexsort((pos[res], rank))
+    width = np.count_nonzero(counts)
+    head = int(counts[cls[width - 1]]) if width else 0
+    # slice bounds of the ranks after the head block
+    bounds = [head * width, *np.cumsum(np.bincount(rank))[head:].tolist()]
+
+    def sums(cur):
+        acc = np.zeros(q, dtype=cur.dtype)
+        _add_rows(cur[:head * width].reshape(head, width), acc[:width])
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            acc[:b - a] += cur[a:b]
+        return acc[pos]
+
+    return order, sums
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,13 @@ search (local unimodality assumed; acceptance checks against a dense-grid
 oracle).  On the grid, all phi(q) characters are handled at once: prime
 contributions are bucketed by residue class and transformed by one DFT over
 the unit-group component lattice (characters.character_sums); halasz_M is
-the single-character case.  When the classes are many and each holds few
-primes, the buckets are sums of contiguous slices, one per rank of a prime
-within its class, over primes sorted once by (rank, class); otherwise they
-are two weighted np.bincount sums.  Both add every class in prime order from
-0.0, so they are equal bit for bit and the chosen index does not depend on
-which one ran.  The bucketed rows go through the transform in batches that
-fill a buffer of about 1 MiB (6 rows at q near 1e4), one character_sums
-call per batch; every row's values equal a one-row call bit for bit, so
-the batch size cannot move the chosen index either.
+the single-character case.  The buckets come from characters.class_summer,
+which adds every class in prime order from 0.0, bit for bit as two weighted
+np.bincount sums would, so the chosen index does not depend on how the
+classes are summed.  The bucketed rows go through the transform in batches
+that fill a buffer of about 1 MiB (6 rows at q near 1e4), one
+character_sums call per batch; every row's values equal a one-row call bit
+for bit, so the batch size cannot move the chosen index either.
 Reported minima are recomputed from scratch with compensated summation.
 With refine_tol = 0 (variance's chi1 = "auto", which needs only the index)
 the grid twist is reported unrefined.
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import character, character_sums, residue_totals, unit_group
+from .characters import character, character_sums, class_summer, unit_group
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction
 from .sieve import PrimeTable, _require_table
@@ -171,41 +169,6 @@ def halasz_M(f: MultiplicativeFunction, x: float, T: float, q: int = 1,
     return _fsum_distance(fp * np.exp(-1j * t * logp), inv), t
 
 
-def _rank_plan(res, counts):
-    """Order primes (residues res, in prime order; counts = bincount(res)) so
-    that class sums are one contiguous slice per rank.
-
-    A prime's rank is its position in its class (0 for the smallest).  The
-    order is by rank, then by class, with the classes that hold the most
-    primes first (ties by residue).  The primes of rank j are then
-    order[offs[j]:offs[j + 1]] and their classes the prefix
-    cls[:offs[j + 1] - offs[j]].  Returns (order, cls, offs).
-    """
-    cls = np.argsort(-counts, kind="stable")
-    pos = np.empty(len(counts), dtype=np.intp)
-    pos[cls] = np.arange(len(counts))
-    starts = np.cumsum(counts) - counts
-    rank = np.empty(len(res), dtype=np.intp)
-    rank[np.argsort(res, kind="stable")] = np.arange(len(res)) - np.repeat(starts, counts)
-    order = np.lexsort((pos[res], rank))
-    offs = np.concatenate(([0], np.cumsum(np.bincount(rank))))
-    return order, cls, offs
-
-
-def _rank_sums(cur, cls, offs, q):
-    """Class sums of cur, taken in the order of _rank_plan, by residue mod q.
-
-    Each class is added in prime order from 0.0, and the real and imaginary
-    parts separately, so the sums equal np.bincount(res, weights=cur.real)
-    and np.bincount(res, weights=cur.imag) bit for bit."""
-    acc = np.zeros(q, dtype=np.complex128)
-    for a, b in zip(offs[:-1], offs[1:]):
-        acc[:b - a] += cur[a:b]
-    sums = np.empty_like(acc)
-    sums[cls] = acc
-    return sums
-
-
 def _batch_rows(q, points):
     """Grid rows per character_sums call: a buffer of about 1 MiB of class
     sums, capped at the number of grid points."""
@@ -229,33 +192,17 @@ def select_main_character(f: MultiplicativeFunction, q: int, x: float,
 
     # Grid scan: bucket prime contributions by residue class, then one
     # character_sums transform yields sum_p f(p) conj(chi(p)) p^{-it}/p for
-    # every character at once.  Rank slices (see _rank_sums) add the terms
-    # in the same order as two weighted bincounts, but cost one numpy call
-    # per rank, about as much as bincounting 250 to 500 primes, so they are
-    # taken only when there are at most 1/500 as many ranks as primes.
-    counts = np.bincount(res, minlength=q)
-    if 500 * counts.max(initial=0) <= len(res):
-        order, cls, offs = _rank_plan(res, counts)
-        offs = offs.tolist()
-        phases = _phases(w[order], logp[order], ts, dt)
-
-        def bucket(cur):
-            return _rank_sums(cur, cls, offs, q)
-    else:
-        phases = _phases(w, logp, ts, dt)
-
-        def bucket(cur):
-            return residue_totals(res, cur, q)
-
+    # every character at once.
+    order, class_sums = class_summer(res, q)
     # The rows are transformed in batches: one character_sums call per
     # batch, whose rows equal one-row calls bit for bit.
     rows = _batch_rows(q, len(ts))
     batch = np.empty((rows, q), dtype=np.complex128)
     mins = np.empty(len(ts))
     argmins = np.empty(len(ts), dtype=np.intp)
-    for i, cur in enumerate(phases):
+    for i, cur in enumerate(_phases(w[order], logp[order], ts, dt)):
         k = i % rows
-        batch[k] = bucket(cur)
+        batch[k] = class_sums(cur)
         if k == rows - 1 or i == len(ts) - 1:
             dists = const - character_sums(q, batch[:k + 1]).real
             done = slice(i - k, i + 1)

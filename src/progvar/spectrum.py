@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import (DirichletCharacter, character_sums, characters, residue_totals,
-                         unit_group)
+from .characters import (DirichletCharacter, character_sums, characters, class_summer,
+                         range_class_sums, unit_group)
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
 from .sieve import (PrimeTable, _require_table, euler_phi, factor,
@@ -111,12 +111,11 @@ def large_value_census(q: int, t_grid, P: float, delta: float, coeffs,
         _check_well_spaced(ts)
     unit_group(q)  # validates q before any % q
     primes, a = _prime_window(P, delta, coeffs, table)
-    res = primes % q
-    logp = np.log(primes.astype(float))
-    buckets = np.stack([
-        residue_totals(res, a if t == 0.0 else a * np.exp(-1j * t * logp), q)
-        for t in ts
-    ])
+    order, class_sums = class_summer(primes % q, q)
+    a = a[order]
+    logp = np.log(primes[order].astype(float))
+    buckets = np.stack([class_sums(a if t == 0.0 else a * np.exp(-1j * t * logp))
+                        for t in ts])
     sums = character_sums(q, buckets).T  # sums[chi index, twist]
     scale = math.log(P) / (delta * P)
     points = [SpectrumPoint(int(i), ts[j], complex(sums[i, j]))
@@ -130,19 +129,17 @@ def sup_norm_scan(f: MultiplicativeFunction, q: int, x: float, y_grid, t_grid,
     |(1/y) sum_{n <= y} f(n) conj(chi(n)) n^{-it}|."""
     table = _require_table(table)
     ys = sorted(int(math.floor(y)) for y in y_grid)
-    if not ys or ys[-1] > x:
-        raise DomainError("y grid must be nonempty and within x")
+    if not ys or ys[0] < 1 or ys[-1] > x:
+        raise DomainError("y grid must be nonempty, at least 1 and within x")
     others = np.arange(unit_group(q).phi) != exclude  # validates q before any % q
     if not others.any():
         return 0.0
     vals = evaluate_range(f, 1, ys[-1], table)
-    ns = np.arange(1, ys[-1] + 1)
-    res = ns % q
-    logn = np.log(ns.astype(float))
+    logn = np.log(np.arange(1, ys[-1] + 1, dtype=float))
     best = 0.0
     for t in t_grid:
         w = vals if t == 0.0 else vals * np.exp(-1j * float(t) * logn)
-        buckets = np.stack([residue_totals(res[:y], w[:y], q) for y in ys])
+        buckets = np.stack([range_class_sums(w[:y], 1, q) for y in ys])
         peaks = np.abs(character_sums(q, buckets)[:, others]).max(axis=1)
         best = max(best, *(float(m) / y for m, y in zip(peaks, ys)))
     return best
@@ -221,11 +218,10 @@ def mean_value_ratio(q: int, a_values, M: int = 0,
     if N < 1:
         raise DomainError("need at least one coefficient")
     ns = np.arange(M + 1, M + N + 1)
-    res = ns % q
     coprime = np.gcd(ns, q) == 1
     phi = euler_phi(q, table)
 
-    class_sums = residue_totals(res, a, q)
+    class_sums = range_class_sums(a, M + 1, q)
 
     lhs = 0.0
     for chi in characters(q):

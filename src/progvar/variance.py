@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import character, character_sums
+from .characters import character, character_sums, range_class_sums
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
 from .sieve import (PrimeTable, _require_coverage, _require_table, euler_phi, factor,
@@ -53,22 +53,6 @@ class VarianceReport:
         return json.dumps(self.to_dict())
 
 
-def _residue_sums(vals, lo, q):
-    """S[r] = sum of vals[i] over lo + i = r (mod q), each added in order of i.
-
-    Zero padding aligns the block with lo mod q, so row k of the (-1, q)
-    reshape holds n = q*k + r and summing over rows adds each class in order.
-    """
-    lead = lo % q
-    rows = -(-(lead + len(vals)) // q)
-    padded = np.zeros(rows * q, dtype=vals.dtype)
-    padded[lead:lead + len(vals)] = vals
-    if q == 1:
-        # numpy sums a 1-D reduction pairwise; accumulate keeps the order
-        return np.add.accumulate(padded)[-1:]
-    return padded.reshape(rows, q).sum(axis=0)
-
-
 def _class_sums(f, qs, lo, hi, table):
     """For each q in qs, B with B[r] = sum of f(n) over lo <= n <= hi, n = r (mod q).
 
@@ -82,7 +66,7 @@ def _class_sums(f, qs, lo, hi, table):
     for start in range(lo, hi + 1, BLOCK):
         vals = evaluate_range(f, start, min(start + BLOCK - 1, hi), table)
         for q, acc in zip(qs, sums):
-            acc += _residue_sums(vals, start, q)
+            acc += range_class_sums(vals, start, q)
         del vals  # free the block before the next one is allocated
     return sums
 
@@ -221,8 +205,8 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
     table = _require_table(table)
     if not f.real:
         raise DomainError(f"hybrid statistic requires real-valued f, got {f.name}")
-    if not 10 <= h <= X:
-        raise DomainError(f"need 10 <= h <= X, got h={h}, X={X}")
+    if not 10 <= h <= X < math.inf:
+        raise DomainError(f"need 10 <= h <= X and finite X, got h={h}, X={X}")
     if q > h / 10:
         raise DomainError(f"need q <= h/10, got q={q}, h={h}")
     if sample_step < 1:

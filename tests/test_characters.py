@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from progvar import (DomainError, character, character_sums, characters, classify,
-                     eval_character, euler_phi, unit_group)
+                     euler_phi, unit_group)
 
 
 def units_of(q):
@@ -89,7 +89,7 @@ def test_legendre_character_mod_5():
 
 def test_eval_examples():
     principal6 = characters(6)[0]
-    assert eval_character(principal6, 4) == 0  # gcd(4,6)=2
+    assert principal6(4) == 0  # gcd(4,6)=2
     chi3 = characters(3)[1]
     assert chi3(5) == -1  # 5 = 2 (mod 3), 2 generates
     for q in (1, 2, 3, 12, 35):

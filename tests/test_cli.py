@@ -81,6 +81,7 @@ def test_invalid_smooth_and_dickman_arguments_exit_2(capsys, argv):
     ["parseval", "--x", "inf"],
     ["parseval", "--x", "nan"],
     ["parseval", "--x", "0"],
+    ["hybrid", "--X", "inf", "--h", "100", "--chi1", "principal"],
 ])
 def test_non_finite_or_small_x_exits_2(capsys, argv):
     code, out, err = run(capsys, argv[0], "--f", "mobius", "--q", "7", *argv[1:],

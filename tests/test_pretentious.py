@@ -8,6 +8,7 @@ import pytest
 import progvar.pretentious as pret
 from progvar import (DomainError, PrimeTable, builtin, character_sums, characters,
                      distance_sq, halasz_M, parse_descriptor, select_main_character)
+from progvar.characters import class_summer
 from progvar.pretentious import default_grid_dt
 from progvar.variance import resolve_chi1
 
@@ -191,19 +192,19 @@ def bincount_sums(res, cur, q):
             np.bincount(res, weights=cur.imag, minlength=q))
 
 
-@pytest.mark.parametrize("q", [1, 2, 12, 101, 9973])
+@pytest.mark.parametrize("q", [1, 2, 3, 12, 101, 9973])
 @pytest.mark.parametrize("x", ["empty", "sparse", "1000q"])
 def test_rank_sums_bit_identical_to_bincount(big_table, q, x):
     primes = big_table.primes_in(2, {"empty": 1, "sparse": 3 * q + 50, "1000q": 1000 * q}[x])
     primes = primes[np.gcd(primes, q) == 1]
     res = primes % q
-    order, cls, offs = pret._rank_plan(res, np.bincount(res, minlength=q))
+    order, class_sums = class_summer(res, q)
     assert sorted(order.tolist()) == list(range(len(primes)))
     rng = np.random.default_rng(q)
     w = rng.choice([-1.0, 0.0, 1.0], len(primes)) / primes
     for t in (0.0, -1.3, 7.25):
         cur = w * np.exp(-1j * t * np.log(primes.astype(float)))
-        got = pret._rank_sums(cur[order], cls, offs.tolist(), q)
+        got = class_sums(cur[order])
         re, im = bincount_sums(res, cur, q)
         assert np.array_equal(got.real.view(np.uint64), re.view(np.uint64))
         assert np.array_equal(got.imag.view(np.uint64), im.view(np.uint64))
@@ -248,8 +249,8 @@ def test_selection_equals_bincount_buckets(big_table, name):
 
 @pytest.mark.parametrize("rows", [1, 3, "over"])
 def test_selection_independent_of_batch_rows(big_table, monkeypatch, rows):
-    # q = 12 buckets by bincounts, q = 997 and 9973 by rank slices; T = 0 is
-    # a one-point grid
+    # q = 12 sums its classes in one block, q = 997 and 9973 mostly by rank
+    # slices; T = 0 is a one-point grid
     cases = [(name, q, 100 * q + 1000, T) for name in ("mobius", "nit_twist:0.7")
              for q in (12, 997, 9973) for T in (None, 0.0)]
     want = {}
