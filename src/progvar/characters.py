@@ -12,10 +12,11 @@ Values are carried as an exact integer s modulo L = lcm(d_j): patched to
 +-1, +-i whenever 4s = 0 (mod L), so real characters evaluate exactly and
 conductor / parity logic can run on integers.
 
-Character indexing contract: characters(q)[0] is principal and the sequence
-is ordered lexicographically by exponent vector (C-order over the component
-lattice).  Reports reference characters by this index; character(q, index)
-builds one of them without the other phi(q) - 1.
+Character indexing contract: a character is named by its index alone, and
+its exponent vector is the index unravelled in C-order over the component
+lattice, so index 0 is principal and the order is lexicographic by exponent
+vector.  character(q, index) is the only constructor; characters(q) lists
+character(q, i) for every i.
 
 Class sums by residue mod q, the input of character_sums, are built here
 too, in one of two layouts: range_class_sums for consecutive n and
@@ -25,7 +26,6 @@ from 0.0, so they equal weighted np.bincount sums bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -115,9 +115,7 @@ class UnitGroupStructure:
         lattice[residues] = np.arange(phi)
         self.lattice_index = lattice
         self.lattice_shape = self.orders if components else (1,)
-        self.exponent_vectors = np.stack(
-            np.unravel_index(np.arange(phi), self.lattice_shape), axis=1
-        ).astype(np.int64)
+        self._kernels = None
 
     def dlog(self, n: int) -> tuple[int, ...]:
         """Exponent vector of a residue coprime to q."""
@@ -126,19 +124,31 @@ class UnitGroupStructure:
             raise DomainError(f"{n} is not a unit mod {self.q}")
         if not self.components:
             return ()
-        return tuple(int(e) for e in self.exponent_vectors[i])
+        return tuple(int(e) for e in np.unravel_index(i, self.lattice_shape))
+
+    def kernels(self) -> list[tuple[int, np.ndarray]]:
+        """(d, lattice positions of the units = 1 mod d) for each d | q in
+        ascending order, built on first use."""
+        if self._kernels is None:
+            res = self.unit_residues
+            self._kernels = [(d, np.flatnonzero(res % d == 1 % d))
+                             for d in factor(self.q).divisors()]
+        return self._kernels
 
 
 @lru_cache(maxsize=64)
-def unit_group(q: int, budget: int = DEFAULT_GROUP_BUDGET) -> UnitGroupStructure:
-    return UnitGroupStructure(q, budget)
+def unit_group(q: int) -> UnitGroupStructure:
+    return UnitGroupStructure(q)
 
 
 class DirichletCharacter:
-    def __init__(self, group: UnitGroupStructure, exponents: tuple[int, ...], index: int):
+    def __init__(self, group: UnitGroupStructure, index: int):
+        if not 0 <= index < group.phi:
+            raise DomainError(f"character index {index} out of range for q={group.q}")
         self.group = group
         self.q = group.q
-        self.exponents = tuple(int(a) % d for a, d in zip(exponents, group.orders))
+        exps = np.unravel_index(index, group.lattice_shape) if group.components else ()
+        self.exponents = tuple(int(a) for a in exps)
         self.index = index
         self._table = None
         self._phase = None
@@ -151,16 +161,12 @@ class DirichletCharacter:
         if self._phase is None:
             g = self.group
             L = g.exponent
-            if g.components:
-                w = np.array(
-                    [a * (L // d) for a, d in zip(self.exponents, g.orders)],
-                    dtype=np.int64,
-                )
-                s = (g.exponent_vectors @ w) % L
-            else:
-                s = np.zeros(1, dtype=np.int64)
+            s = np.zeros(g.phi, dtype=np.int64)
+            positions = np.unravel_index(np.arange(g.phi), g.lattice_shape)
+            for e, a, d in zip(positions, self.exponents, g.orders):
+                s += e * (a * (L // d))
             phase = np.full(self.q, -1, dtype=np.int64)
-            phase[g.unit_residues] = s
+            phase[g.unit_residues] = s % L
             self._phase = phase
         return self._phase
 
@@ -197,15 +203,8 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """Least d | q with chi trivial on units that are 1 mod d."""
         if self._conductor is None:
-            phase = self._phase_table()
-            units = self.group.unit_residues
-            best = self.q
-            for d in factor(self.q).divisors():
-                ok = all(phase[r] == 0 for r in units if r % d == 1 % d)
-                if ok:
-                    best = d
-                    break
-            self._conductor = best
+            s = self._phase_table()[self.group.unit_residues]
+            self._conductor = next(d for d, pos in self.group.kernels() if not s[pos].any())
         return self._conductor
 
     def descriptor(self) -> list:
@@ -216,25 +215,15 @@ class DirichletCharacter:
         return f"DirichletCharacter(q={self.q}, index={self.index}, exponents={self.exponents})"
 
 
-def characters(q: int, budget: int = DEFAULT_GROUP_BUDGET) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q; index 0 principal, lexicographic exponents."""
-    g = unit_group(q, budget)
-    out = []
-    ranges = [range(d) for d in g.orders] if g.components else [range(1)]
-    for i, vec in enumerate(itertools.product(*ranges)):
-        exps = vec if g.components else ()
-        out.append(DirichletCharacter(g, exps, i))
-    return out
+def characters(q: int) -> list[DirichletCharacter]:
+    """All phi(q) characters mod q in index order."""
+    return [character(q, i) for i in range(unit_group(q).phi)]
 
 
 def character(q: int, index: int) -> DirichletCharacter:
-    """characters(q)[index], built alone: the exponents are index unravelled
-    in C-order over the component lattice."""
-    g = unit_group(q)
-    if not 0 <= index < g.phi:
-        raise DomainError(f"character index {index} out of range for q={q}")
-    exps = np.unravel_index(index, g.lattice_shape) if g.components else ()
-    return DirichletCharacter(g, exps, index)
+    """The character mod q of the given index: its exponents are the index
+    unravelled in C-order over the component lattice."""
+    return DirichletCharacter(unit_group(q), index)
 
 
 def character_sums(q: int, sums) -> np.ndarray:
@@ -331,10 +320,10 @@ class CharacterFlags:
 
 
 def classify(chi: DirichletCharacter) -> CharacterFlags:
-    parity = chi(-1)
+    # chi(-1) = +-1, so its phase at q - 1 is 0 or L/2
     return CharacterFlags(
         principal=chi.is_principal,
         real=chi.is_real,
         primitive=chi.conductor() == chi.q,
-        parity=1 if parity.real > 0 else -1,
+        parity=1 if chi._phase_table()[-1 % chi.q] == 0 else -1,
     )

@@ -22,7 +22,7 @@ import sys
 
 from . import linnik as linnik_mod
 from . import sieve
-from .characters import characters, classify
+from .characters import character, classify, unit_group
 from .errors import CapacityError, DomainError
 from .multfunc import parse_descriptor
 from .smooth import dickman, psi_q, smooth_recip_sum
@@ -227,10 +227,10 @@ def _cmd_dickman_table(args):
 
 
 def _cmd_character(args):
-    chis = characters(args.q)
-    wanted = chis if args.index is None else [chis[args.index]]
+    indices = range(unit_group(args.q).phi) if args.index is None else [args.index]
     rows = []
-    for chi in wanted:
+    for i in indices:
+        chi = character(args.q, i)  # one at a time: memory stays flat in phi(q)
         flags = classify(chi)
         rows.append({
             "q": chi.q, "index": chi.index,

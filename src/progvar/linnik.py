@@ -140,6 +140,8 @@ def linnik_scan(qs, bounds, predicate: str,
     qs, bounds = list(qs), list(bounds)
     if len(qs) != len(bounds):
         raise DomainError(f"{len(qs)} moduli but {len(bounds)} bounds")
+    if any(q < 1 for q in qs):
+        raise DomainError(f"moduli must be positive integers, got {qs}")
     qualifies = _qualifier(predicate)
     units = [units_mod(q).tolist() for q in qs]
     found = _scan(qs, bounds, [set(u) for u in units], qualifies, table)

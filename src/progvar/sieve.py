@@ -68,11 +68,9 @@ class PrimeTable:
                 view = spf[p * p :: p]
                 view[view == 0] = p
         unmarked = np.flatnonzero(spf == 0)
-        spf[unmarked] = unmarked  # remaining zeros are primes (and 0, 1)
-        spf[0] = 0
-        spf[1] = 1
+        spf[unmarked] = unmarked  # remaining zeros are 0, 1 and the primes
         self.spf = spf
-        self.primes = np.flatnonzero(spf[2:] == np.arange(2, self.limit + 1)).astype(np.int64) + 2
+        self.primes = unmarked[2:].astype(np.int64, copy=False)
 
     def is_prime(self, n: int) -> bool:
         if n < 2:

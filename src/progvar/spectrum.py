@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import (DirichletCharacter, character_sums, characters, class_summer,
+from .characters import (DirichletCharacter, character, character_sums, class_summer,
                          range_class_sums, unit_group)
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
@@ -128,6 +128,9 @@ def sup_norm_scan(f: MultiplicativeFunction, q: int, x: float, y_grid, t_grid,
     """max over chi != exclude, t in t_grid, y in y_grid of
     |(1/y) sum_{n <= y} f(n) conj(chi(n)) n^{-it}|."""
     table = _require_table(table)
+    y_grid = list(y_grid)
+    if not all(math.isfinite(y) for y in y_grid):
+        raise DomainError(f"y grid must be finite, got {y_grid}")
     ys = sorted(int(math.floor(y)) for y in y_grid)
     if not ys or ys[0] < 1 or ys[-1] > x:
         raise DomainError("y grid must be nonempty, at least 1 and within x")
@@ -224,8 +227,8 @@ def mean_value_ratio(q: int, a_values, M: int = 0,
     class_sums = range_class_sums(a, M + 1, q)
 
     lhs = 0.0
-    for chi in characters(q):
-        s = np.conj(chi.table) @ class_sums
+    for i in range(phi):
+        s = np.conj(character(q, i).table) @ class_sums
         lhs += abs(s) ** 2
     rhs = (phi + phi / q * N) * float((np.abs(a[coprime]) ** 2).sum())
 

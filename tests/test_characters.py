@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 
@@ -17,9 +18,7 @@ def brute_dlog(group, n):
     """Independent discrete log: exhaustive search over generator powers."""
     q = group.q
     target = n % q
-    from itertools import product
-
-    for vec in product(*(range(c.order) for c in group.components)):
+    for vec in itertools.product(*(range(c.order) for c in group.components)):
         acc = 1
         for e, comp in zip(vec, group.components):
             acc = acc * pow(comp.generator, e, q) % q
@@ -64,12 +63,18 @@ def test_principal_is_index_zero_and_order_lexicographic():
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 12, 24, 101, 9973])
 def test_character_by_index_matches_list(q):
+    # oracle: the exponent vectors in lexicographic order (one empty vector
+    # when the group has no components)
+    g = unit_group(q)
+    lexicographic = list(itertools.product(*(range(d) for d in g.orders)))
     chis = characters(q)
+    assert len(chis) == len(lexicographic) == g.phi
+    assert [(c.index, c.exponents) for c in chis] == list(enumerate(lexicographic))
     indices = range(len(chis)) if q < 9973 else [0, 1, 2, 17, 4986, 6593, 9971]
     for i in indices:
         chi = character(q, i)
         assert chi.index == i
-        assert chi.exponents == chis[i].exponents
+        assert chi.exponents == lexicographic[i]
         assert np.array_equal(chi.table, chis[i].table)
     for bad in (-1, len(chis)):
         with pytest.raises(DomainError):
@@ -126,6 +131,24 @@ def test_conductor_examples():
     wanted = [c for c in chis8 if c(1) == 1 and c(5) == 1 and c(3) == -1 and c(7) == -1]
     assert len(wanted) == 1 and wanted[0].conductor() == 4
     assert characters(5)[2].conductor() == 5  # Legendre mod 5 is primitive
+
+
+def per_unit_conductor(chi):
+    """Least d | q with chi(r) = 1 at every unit r = 1 mod d, tested unit by
+    unit on the values."""
+    q = chi.q
+    for d in range(1, q + 1):
+        if q % d == 0 and all(abs(chi(r) - 1) < 1e-12 for r in units_of(q) if r % d == 1 % d):
+            return d
+
+
+def test_conductor_and_parity_match_per_unit_oracle_q_up_to_120():
+    for q in range(1, 121):
+        for chi in characters(q):
+            assert chi.conductor() == per_unit_conductor(chi), (q, chi.index)
+            flags = classify(chi)
+            assert flags.primitive == (chi.conductor() == q)
+            assert flags.parity == chi(-1).real and chi(-1).imag == 0, (q, chi.index)
 
 
 def test_classify_examples():

@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -357,3 +358,26 @@ def test_character_cli_roundtrip(capsys):
     assert rows[0]["descriptor"] == [8, [0, 0]]
     conductors = sorted(r["conductor"] for r in rows)
     assert conductors == [1, 4, 8, 8]
+
+
+@pytest.mark.parametrize("index", ["7", "4", "-1"])
+def test_character_index_out_of_range_exits_2(capsys, index):
+    code, out, err = run(capsys, "character", "--q", "5", "--index", index,
+                         "--sieve-limit", "10000")
+    assert code == 2
+    assert out == ""
+    assert "progvar: invalid arguments" in err
+
+
+def test_character_listing_holds_one_character_at_a_time(capsys):
+    # the 480 characters mod 2310 hold an int64 and a complex table of 2310
+    # values each, about 25 MiB if all were kept at once
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "character", "--q", "2310", "--sieve-limit", "10000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(body_lines(out)) == 481
+    assert peak < 8 * 2**20

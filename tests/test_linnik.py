@@ -119,6 +119,9 @@ def test_linnik_scan_rejects_bad_arguments(table):
         linnik_scan([5, 6], [100], "e3", table=table)
     with pytest.raises(DomainError):
         linnik_scan([5], [100], "e4", table=table)
+    for q in (0, -3):
+        with pytest.raises(DomainError):
+            linnik_scan([q], [10], "e3", table=table)
 
 
 def test_linnik_result_json_roundtrip(table):

@@ -172,3 +172,11 @@ def test_prime_table_lookup(table):
     ps = table.primes_in(10, 20)
     assert ps.tolist() == [11, 13, 17, 19]
     assert table.prime_count(541) == 100
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 30, 1000])
+def test_prime_table_primes_match_trial_division(n):
+    t = PrimeTable(n)
+    assert t.primes.tolist() == [m for m in range(2, n + 1) if trial_factor(m) == ((m, 1),)]
+    assert t.primes.dtype.name == "int64"
+    assert (t.spf[0], t.spf[1]) == (0, 1)

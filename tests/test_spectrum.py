@@ -105,7 +105,7 @@ def test_sup_norm_examples(table):
     assert sup_norm_scan(ONE, 1, 1000, [100], [0.0], exclude=5, table=table) == 1.0
 
 
-@pytest.mark.parametrize("ys", [[0, 50], [0.5], [-3, 10]])
+@pytest.mark.parametrize("ys", [[0, 50], [0.5], [-3, 10], [float("nan")], [10, float("inf")]])
 def test_sup_norm_rejects_y_below_1(table, ys):
     with pytest.raises(DomainError):
         sup_norm_scan(builtin("mobius"), 5, 100, ys, [0.0], exclude=0, table=table)
