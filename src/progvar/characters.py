@@ -19,9 +19,9 @@ vector.  character(q, index) is the only constructor; characters(q) lists
 character(q, i) for every i.
 
 Class sums by residue mod q, the input of character_sums, are built here
-too, in one of two layouts: range_class_sums for consecutive n and
-class_summer for a fixed set of terms.  Both add every class in term order
-from 0.0, so they equal weighted np.bincount sums bit for bit.
+too, in one of two layouts: class_rows for consecutive n and class_summer
+for a fixed set of terms.  Both add every class in term order from 0.0, so
+they equal weighted np.bincount sums bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .sieve import PrimeTable, factor
 
-DEFAULT_GROUP_BUDGET = 1_000_000
+GROUP_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ def _smallest_primitive_root(p: int, e: int, table: PrimeTable | None) -> int:
 class UnitGroupStructure:
     """CRT generator decomposition of (Z/q)^x plus its discrete-log table."""
 
-    def __init__(self, q: int, budget: int = DEFAULT_GROUP_BUDGET,
-                 table: PrimeTable | None = None):
+    def __init__(self, q: int, table: PrimeTable | None = None):
         if q < 1:
             raise DomainError(f"modulus must be >= 1, got {q}")
         self.q = q
@@ -80,8 +79,8 @@ class UnitGroupStructure:
         phi = 1
         for _, _, order in local:
             phi *= order
-        if phi > budget:
-            raise CapacityError(f"phi({q}) = {phi} exceeds enumeration budget {budget}")
+        if phi > GROUP_BUDGET:
+            raise CapacityError(f"phi({q}) = {phi} exceeds enumeration budget {GROUP_BUDGET}")
         for pe, g, order in local:
             rest = q // pe
             if rest == 1:
@@ -259,19 +258,22 @@ def _add_rows(block, out):
             out[j] += np.add.accumulate(col)[-1]
 
 
-def range_class_sums(vals, lo: int, q: int) -> np.ndarray:
-    """S[r] = sum of vals[i] over lo + i = r (mod q), each class added in
-    order of i from 0.0.
-
-    Zero padding aligns the block with lo mod q, so row k of the (-1, q)
-    reshape holds n = q*k + r and summing over rows adds each class in order.
-    """
+def class_rows(vals, lo: int, q: int) -> np.ndarray:
+    """vals[i], the value at n = lo + i, laid out in a zero-padded (rows, q)
+    array: row k, column r holds n = q*(lo // q + k) + r, so column r is the
+    class of r mod q in order of n."""
     lead = lo % q
     rows = -(-(lead + len(vals)) // q)
     padded = np.zeros(rows * q, dtype=vals.dtype)
     padded[lead:lead + len(vals)] = vals
+    return padded.reshape(rows, q)
+
+
+def range_class_sums(vals, lo: int, q: int) -> np.ndarray:
+    """S[r] = sum of vals[i] over lo + i = r (mod q), each class added in
+    order of i from 0.0, by summing the rows of class_rows."""
     out = np.zeros(q, dtype=vals.dtype)
-    _add_rows(padded.reshape(rows, q), out)
+    _add_rows(class_rows(vals, lo, q), out)
     return out
 
 

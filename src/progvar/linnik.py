@@ -78,8 +78,10 @@ def _scan(qs: list[int], bounds: list[int], wanted: list[set[int]], qualifies,
     and has not passed its bound.  The sets in `wanted` are emptied as
     classes are found.
     """
+    if not all(isinstance(b, (int, np.integer)) and b >= 1 for b in bounds):
+        raise DomainError(f"bounds must be integers >= 1, got {bounds}")
     found: list[dict[int, int]] = [{} for _ in qs]
-    open_ = [i for i in range(len(qs)) if wanted[i] and bounds[i] >= 1]
+    open_ = [i for i in range(len(qs)) if wanted[i]]
     lo = 1
     while open_:
         hi = min(lo + BLOCK - 1, max(bounds[i] for i in open_))

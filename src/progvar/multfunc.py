@@ -1,13 +1,15 @@
-"""1-bounded multiplicative functions defined by prime-power rules.
+"""1-bounded multiplicative functions defined by one vectorized prime-power rule.
 
-Functions carry a rule (p, k) -> complex rather than value tables, so any
-window of values can be materialized by the interval sieve without storing
-anything global.  The Archimedean twist n^{-it} used inside sums is a
-parameter of the summation operations, not folded into the function.
+Every value of f is read through that rule, so any window of values can be
+materialized by the interval sieve without storing anything global, and no
+value depends on the window it is computed in.  The Archimedean twist
+n^{-it} used inside sums is a parameter of the summation operations, not
+folded into the function.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,26 +26,28 @@ BUILTIN_NAMES = ("one", "mobius", "mobius_squared", "liouville",
 
 @dataclass
 class MultiplicativeFunction:
-    """f with f(1) = 1, |f(p^k)| <= 1, determined by its prime-power rule."""
+    """f with f(1) = 1, |f(p^k)| <= 1, determined by its prime-power rule:
+    rule(ps, k) returns f(p^k) for each prime p of the int64 array ps."""
 
     name: str
-    prime_power: Callable[[int, int], complex]
+    rule: Callable[[np.ndarray, int], np.ndarray]
     real: bool = True
-    # Optional vectorized values at a numpy array of primes (exponent 1).
-    prime_vec: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, n: int, table: PrimeTable | None = None) -> complex:
         if n < 1:
             raise DomainError(f"multiplicative functions are defined on n >= 1, got {n}")
         out = 1 + 0j
         for p, k in factor(n, table).factors:
-            out *= self.prime_power(p, k)
+            out *= complex(self.at_primes([p], k)[0])
         return out
 
-    def at_primes(self, primes: np.ndarray) -> np.ndarray:
-        if self.prime_vec is not None:
-            return np.asarray(self.prime_vec(primes), dtype=np.complex128)
-        return np.array([self.prime_power(int(p), 1) for p in primes], dtype=np.complex128)
+    def at_primes(self, primes, k: int = 1) -> np.ndarray:
+        """f(p^k) at each prime of primes, as complex128."""
+        primes = np.asarray(primes, dtype=np.int64)
+        vals = np.asarray(self.rule(primes, k), dtype=np.complex128)
+        if vals.shape != primes.shape:
+            raise DomainError(f"rule of {self.name} gave shape {vals.shape}, not {primes.shape}")
+        return vals
 
 
 def builtin(name: str, *, y: float | None = None,
@@ -52,47 +56,41 @@ def builtin(name: str, *, y: float | None = None,
     """Named function library; parameters: smooth_indicator needs y >= 2,
     character needs chi, nit_twist needs t0."""
     if name == "one":
-        return MultiplicativeFunction("one", lambda p, k: 1.0,
-                                      prime_vec=lambda ps: np.ones(len(ps)))
+        return MultiplicativeFunction(name, lambda ps, k: np.ones(len(ps)))
     if name == "mobius":
-        return MultiplicativeFunction("mobius", lambda p, k: -1.0 if k == 1 else 0.0,
-                                      prime_vec=lambda ps: -np.ones(len(ps)))
+        return MultiplicativeFunction(name,
+                                      lambda ps, k: np.full(len(ps), -1.0 if k == 1 else 0.0))
     if name == "mobius_squared":
-        return MultiplicativeFunction("mobius_squared", lambda p, k: 1.0 if k == 1 else 0.0,
-                                      prime_vec=lambda ps: np.ones(len(ps)))
+        return MultiplicativeFunction(name, lambda ps, k: np.full(len(ps), 1.0 if k == 1 else 0.0))
     if name == "liouville":
-        return MultiplicativeFunction("liouville", lambda p, k: (-1.0) ** k,
-                                      prime_vec=lambda ps: -np.ones(len(ps)))
+        return MultiplicativeFunction(name, lambda ps, k: np.full(len(ps), (-1.0) ** k))
     if name == "smooth_indicator":
         if y is None or y < 2:
             raise DomainError("smooth_indicator needs y >= 2")
         yv = float(y)
-        return MultiplicativeFunction(
-            f"smooth_indicator:{y:g}",
-            lambda p, k: 1.0 if p <= yv else 0.0,
-            prime_vec=lambda ps: (np.asarray(ps) <= yv).astype(float),
-        )
+        return MultiplicativeFunction(f"smooth_indicator:{y:g}",
+                                      lambda ps, k: (ps <= yv).astype(float))
     if name == "character":
         if chi is None:
             raise DomainError("character needs a DirichletCharacter")
         table = chi.table
         q = chi.q
-        return MultiplicativeFunction(
-            f"character:q={q},idx={chi.index}",
-            lambda p, k: complex(table[pow(p, k, q)]),
-            real=chi.is_real,
-            prime_vec=lambda ps: table[np.asarray(ps) % q],
-        )
+
+        def rule(ps, k):
+            r = pk = ps % q
+            for _ in range(k - 1):
+                pk = pk * r % q  # exact in int64: below q^2 < 2^63
+            return table[pk]
+
+        return MultiplicativeFunction(f"character:q={q},idx={chi.index}", rule,
+                                      real=chi.is_real)
     if name == "nit_twist":
         if t0 is None:
             raise DomainError("nit_twist needs t0")
         tv = float(t0)
-        return MultiplicativeFunction(
-            f"nit_twist:{t0:g}",
-            lambda p, k: complex(np.exp(1j * tv * k * math.log(p))),
-            real=(tv == 0.0),
-            prime_vec=lambda ps: np.exp(1j * tv * np.log(np.asarray(ps, dtype=float))),
-        )
+        return MultiplicativeFunction(f"nit_twist:{t0:g}",
+                                      lambda ps, k: np.exp(1j * tv * k * np.log(ps.astype(float))),
+                                      real=(tv == 0.0))
     raise DomainError(f"unknown multiplicative function {name!r}; "
                       f"expected one of {', '.join(BUILTIN_NAMES)}")
 
@@ -124,18 +122,25 @@ def parse_descriptor(text: str) -> MultiplicativeFunction:
 
 def evaluate_range(f: MultiplicativeFunction, lo: int, hi: int,
                    table: PrimeTable | None = None) -> np.ndarray:
-    """f(lo), ..., f(hi) by one interval-sieve pass per prime <= sqrt(hi)."""
+    """f(lo), ..., f(hi) by one interval-sieve pass per prime <= sqrt(hi);
+    f.rule runs once per exponent k and once for the primes above sqrt(hi)."""
     table = _require_table(table)
     if lo < 1:
         raise DomainError(f"range must start at 1 or later, got {lo}")
     _require_coverage(hi, table)
     vals = np.ones(hi - lo + 1, dtype=np.complex128)
+    primes = table.primes_in(2, math.isqrt(hi))
+    primes = primes[-lo % primes <= hi - lo]  # those with a multiple in the window
+    plist = primes.tolist()
+    # rows[k - 1][i] = f(plist[i]^k) up to hi^(1/k) + 1: a margin adds primes, never drops one
+    rows = [f.at_primes(primes[:np.searchsorted(primes, hi ** (1 / k) + 1, "right")], k).tolist()
+            for k in range(1, int(hi).bit_length())]
 
     def visit(p, sl, e):
-        local = [1.0] + [complex(f.prime_power(p, k)) for k in range(1, int(e.max()) + 1)]
-        if all(v == 1.0 for v in local):
-            return
-        vals[sl] *= np.array(local, dtype=np.complex128)[e]
+        i = bisect.bisect_left(plist, p)
+        local = [1.0] + [row[i] for row in rows[:e.max()]]
+        if any(v != 1 for v in local):
+            vals[sl] *= np.array(local)[e]
 
     residual = window_apply(lo, hi, table, math.inf, visit)
     tail = residual > 1
@@ -155,14 +160,6 @@ def restrict_smooth(f: MultiplicativeFunction, y: float) -> MultiplicativeFuncti
     if y < 2:
         raise DomainError(f"smooth restriction needs y >= 2, got {y}")
     yv = float(y)
-
-    def vec(ps):
-        ps = np.asarray(ps)
-        return np.where(ps <= yv, f.at_primes(ps), 0.0)
-
-    return MultiplicativeFunction(
-        f"{f.name}|smooth:{y:g}",
-        lambda p, k: f.prime_power(p, k) if p <= yv else 0.0,
-        real=f.real,
-        prime_vec=vec,
-    )
+    return MultiplicativeFunction(f"{f.name}|smooth:{y:g}",
+                                  lambda ps, k: np.where(ps <= yv, f.at_primes(ps, k), 0.0),
+                                  real=f.real)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import character, character_sums, range_class_sums
+from .characters import character, character_sums, class_rows, range_class_sums
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
 from .sieve import (PrimeTable, _require_coverage, _require_table, euler_phi, factor,
@@ -175,15 +175,18 @@ def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
     return lhs, math.fsum((np.abs(B[units] - main) ** 2).tolist())
 
 
-def _sample_grid(X, step):
-    """Sample points X, X + step, ... below 2X and their left-rule weights
-    min(step, 2X - x).  cumsum adds in the order of a running x += step, so
-    the points equal those of that loop exactly."""
-    steps = np.full(math.ceil(X / step) + 2, float(step))
-    steps[0] = float(X)
-    xs = np.cumsum(steps)
-    xs = xs[:np.searchsorted(xs, 2 * X)]
-    return xs, np.minimum(float(step), 2 * X - xs)
+def _sample_grid(X, step, per_chunk):
+    """Sample points X, X + step, ... below 2X in chunks of at most per_chunk, with
+    left-rule weights min(step, 2X - x).  cumsum adds in the order of a running
+    x += step, carried across chunks, so the points equal that loop's exactly."""
+    x = float(X)
+    while x < 2 * X:
+        steps = np.full(min(per_chunk, math.ceil((2 * X - x) / step) + 2), float(step))
+        steps[0] = x
+        xs = np.cumsum(steps)
+        xs = xs[:np.searchsorted(xs, 2 * X)]
+        yield xs, np.minimum(float(step), 2 * X - xs)
+        x = xs[-1] + step
 
 
 def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
@@ -199,8 +202,8 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
 
     Two streamed passes: the twisted total over (X, 2X], then the sample
     points in chunks of about BLOCK integers, each evaluating its points'
-    windows once (chunks overlap by h).  Memory is O(BLOCK + h) for f plus
-    O(X / step) for the per-point totals.
+    windows once (chunks overlap by h) and adding its weighted sum into the
+    integral.  Memory is O(BLOCK + h), whatever X.
     """
     table = _require_table(table)
     if not f.real:
@@ -218,32 +221,27 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
 
     B = _class_sums(f, [q], math.floor(X) + 1, math.floor(2 * X), table)[0]
     twisted_total = complex(np.conj(chi.table) @ B)
-    units = units_mod(q).tolist()
+    mains = [(a, complex(chi.table[a]) / phi * (h / X) * twisted_total)
+             for a in units_mod(q).tolist()]
 
-    def class_count(m, a):
-        # number of n <= m with n = a (mod q), n >= 1
-        aa = a if a >= 1 else q
-        return np.maximum((m - aa) // q + 1, 0)
-
-    xs, weights = _sample_grid(X, sample_step)
-    total = np.zeros(len(xs))
-    per_chunk = max(1, BLOCK // sample_step)
-    for i in range(0, len(xs), per_chunk):
-        part = xs[i:i + per_chunk]
-        lo_idx = np.floor(part).astype(np.int64)
-        hi_idx = np.floor(part + h).astype(np.int64)
+    integral = 0.0
+    for xs, weights in _sample_grid(X, sample_step, max(1, BLOCK // sample_step)):
+        lo_idx = np.floor(xs).astype(np.int64)
+        hi_idx = np.floor(xs + h).astype(np.int64)
         base = int(lo_idx[0])
-        vals = evaluate_range(f, base + 1, int(hi_idx[-1]), table).real
-        for a in units:
-            # prefix sums of class a over the chunk's n > base, a, a+q, ...
-            seq = vals[(a - base - 1) % q::q]
-            pref = np.zeros(len(seq) + 1)
-            np.cumsum(seq, out=pref[1:])
-            skip = class_count(base, a)
-            wins = pref[class_count(hi_idx, a) - skip] - pref[class_count(lo_idx, a) - skip]
-            main = complex(chi.table[a]) / phi * (h / X) * twisted_total
-            total[i:i + per_chunk] += (wins - main.real) ** 2 + main.imag**2
-    integral = float((total * weights).sum())
+        # prefix[c, a]: the sum of the first c class rows' column a, from n = start
+        rows = class_rows(evaluate_range(f, base + 1, int(hi_idx[-1]), table).real, base + 1, q)
+        prefix = np.zeros((len(rows) + 1, q))
+        np.cumsum(rows, axis=0, out=prefix[1:])
+        del rows
+        start = (base + 1) // q * q
+        total = np.zeros(len(xs))
+        for a, main in mains:
+            wins = (prefix[(hi_idx - start - a) // q + 1, a]
+                    - prefix[(lo_idx - start - a) // q + 1, a])
+            total += (wins - main.real) ** 2 + main.imag**2
+        integral += float((total * weights).sum())
+        del prefix, total, wins  # free the chunk before the next one is allocated
     return integral / (phi * X * (h / q) ** 2)
 
 

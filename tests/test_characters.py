@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import itertools
 import json
 import math
@@ -238,9 +239,10 @@ def test_descriptor_serialization_stable():
     assert descs == again
 
 
-def test_budget_capacity_error():
+def test_budget_capacity_error(monkeypatch):
     from progvar import CapacityError
     from progvar.characters import UnitGroupStructure
 
+    monkeypatch.setattr(importlib.import_module("progvar.characters"), "GROUP_BUDGET", 100)
     with pytest.raises(CapacityError):
-        UnitGroupStructure(9973, budget=100)
+        UnitGroupStructure(9973)

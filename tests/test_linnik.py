@@ -122,6 +122,13 @@ def test_linnik_scan_rejects_bad_arguments(table):
     for q in (0, -3):
         with pytest.raises(DomainError):
             linnik_scan([q], [10], "e3", table=table)
+    for bound in (float("nan"), 0, -5, 2.5):
+        with pytest.raises(DomainError):
+            linnik_scan([5], [bound], "e3", table=table)
+        with pytest.raises(DomainError):
+            e3_least(5, 1, bound, table=table)
+        with pytest.raises(DomainError):
+            mobius_least(5, 1, -1, bound, table=table)
 
 
 def test_linnik_result_json_roundtrip(table):

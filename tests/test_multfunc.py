@@ -71,10 +71,13 @@ def test_evaluate_range_leaves_prime_values_alone(table):
     # mobius from prime values a caller keeps: a read-only broadcast and a
     # view of a stored buffer, which evaluate_range must not write into
     store = np.full(5000, -1, dtype=np.complex128)
-    fs = [MultiplicativeFunction("mu_ro", builtin("mobius").prime_power,
-                                 prime_vec=lambda ps: np.broadcast_to(np.complex128(-1), ps.shape)),
-          MultiplicativeFunction("mu_view", builtin("mobius").prime_power,
-                                 prime_vec=lambda ps: store[:len(ps)])]
+    def mu_ro(ps, k):
+        return np.broadcast_to(np.complex128(-1 if k == 1 else 0), ps.shape)
+
+    def mu_view(ps, k):
+        return store[:len(ps)] if k == 1 else np.zeros(len(ps))
+
+    fs = [MultiplicativeFunction("mu_ro", mu_ro), MultiplicativeFunction("mu_view", mu_view)]
     mu = evaluate_range(builtin("mobius"), 1, 5000, table)
     for f in fs:
         assert np.array_equal(evaluate_range(f, 1, 5000, table), mu), f.name
@@ -131,3 +134,45 @@ def test_parse_descriptor(table):
     for bad in ("nope", "character:q=5", "mobius:3"):
         with pytest.raises(DomainError):
             parse_descriptor(bad)
+
+
+def frac_twist():
+    """No builtin: one rule, f(p^k) = e(k {p sqrt 2})."""
+    return MultiplicativeFunction(
+        "frac_twist", lambda ps, k: np.exp(2j * np.pi * k * np.modf(ps * math.sqrt(2))[0]),
+        real=False)
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 10_000), (10**9, 10**9 + 10_000)])
+def test_user_rule_evaluate_range_matches_pointwise(table, lo, hi):
+    f = frac_twist()
+    vals = evaluate_range(f, lo, hi, table)
+    pointwise = np.array([f(n, table) for n in range(lo, hi + 1)])
+    assert np.abs(vals - pointwise).max() < 1e-12
+
+
+def test_user_rule_at_primes_matches_pointwise(table):
+    f = frac_twist()
+    primes = table.primes_in(2, 10_000)
+    assert f.at_primes(primes).tolist() == [f(int(p), table) for p in primes]
+
+
+def test_value_does_not_depend_on_window(table):
+    # 97 is above sqrt(100) and below sqrt(10^4): a tail prime in the first
+    # window and a sieving prime in the second
+    for f in pool() + [frac_twist()]:
+        small = evaluate_range(f, 1, 100, table)[96]
+        large = evaluate_range(f, 1, 10**4, table)[96]
+        assert small == large, f.name
+
+
+def test_rule_of_wrong_shape_raises(table):
+    for rule in (lambda ps, k: 1.0, lambda ps, k: np.ones(len(ps) + 1),
+                 lambda ps, k: np.ones((len(ps), 2))):
+        f = MultiplicativeFunction("bad", rule)
+        with pytest.raises(DomainError):
+            f.at_primes(table.primes_in(2, 100))
+        with pytest.raises(DomainError):
+            evaluate_range(f, 1, 1000, table)
+        with pytest.raises(DomainError):
+            f(30, table)

@@ -14,13 +14,13 @@ from progvar.variance import resolve_chi1
 
 
 def dense_distance(f, chi, t, x, q, table):
-    """Independent scalar oracle: direct loop over the prime list."""
+    """Independent scalar oracle: direct loop over the prime list, f read
+    at all of them in one call."""
+    primes = table.primes_in(2, x)
     total = 0.0
-    for p in table.primes_in(2, x):
-        p = int(p)
+    for p, fp in zip(primes.tolist(), f.at_primes(primes).tolist()):
         if math.gcd(p, q) != 1:
             continue
-        fp = complex(f.prime_power(p, 1))
         gp = complex(chi(p)) * complex(math.cos(t * math.log(p)), math.sin(t * math.log(p)))
         total += (1 - (fp * gp.conjugate()).real) / p
     return total

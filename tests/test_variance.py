@@ -140,7 +140,7 @@ def test_hybrid_vanishing_function(table):
     # beyond X never contain 1, so the statistic is exactly 0
     from progvar import MultiplicativeFunction
 
-    zero = MultiplicativeFunction("vanishing", lambda p, k: 0.0)
+    zero = MultiplicativeFunction("vanishing", lambda ps, k: np.zeros(len(ps)))
     assert hybrid_variance(zero, 1, 200, 20, 0, sample_step=1, table=table) == 0.0
 
 
@@ -258,10 +258,29 @@ def loop_sample_grid(X, step):
 @pytest.mark.parametrize("X", [100, 1000, 1234.567, 10**5 + 0.1])
 @pytest.mark.parametrize("step", [1, 3])
 def test_sample_grid_matches_loop(X, step):
-    xs, weights = variance_mod._sample_grid(X, step)
     loop_xs, loop_weights = loop_sample_grid(X, step)
-    assert xs.tolist() == loop_xs
-    assert weights.tolist() == loop_weights
+    # chunks of one point, of a size that does not divide the grid, and one chunk
+    for per_chunk in (1, 7, 1 << 20):
+        chunks = list(variance_mod._sample_grid(X, step, per_chunk))
+        assert all(0 < len(xs) <= per_chunk for xs, _ in chunks)
+        assert np.concatenate([xs for xs, _ in chunks]).tolist() == loop_xs
+        assert np.concatenate([w for _, w in chunks]).tolist() == loop_weights
+
+
+def test_hybrid_memory_is_flat_in_X(table):
+    # a float per sample point would add about 26 bytes per point, 75 MiB
+    # more at X = 4e6 than at X = 1e6; a first small call keeps tables built
+    # once per process out of the peaks
+    hybrid_variance(builtin("mobius"), 7, 1e4, 1000, "principal", table=table)
+    peaks = []
+    for X in (1e6, 4e6):
+        tracemalloc.start()
+        try:
+            hybrid_variance(builtin("mobius"), 7, X, 1000, "principal", table=table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * 2**20, [p / 2**20 for p in peaks]
 
 
 def test_hybrid_preconditions(table):
