@@ -19,8 +19,8 @@ from .pretentious import (MainCharacterSelection, distance_sq, halasz_M,
 from .sieve import (PrimeFactorization, PrimeTable, default_table, euler_phi,
                     factor, mobius, omega_in_range, prime_bounds)
 from .smooth import (DickmanTable, ThetaLadder, canonical_factorization, dickman,
-                     dickman_table, psi_q, sj_membership, smooth_recip_sum,
-                     theta_ladder)
+                     dickman_table, psi_q, sj_membership, smooth_count,
+                     smooth_recip_sum, theta_ladder)
 from .spectrum import (RatioRecord, SpectrumPoint, decomposition_sums,
                        large_value_census, log_prime_char_sum, mean_value_ratio,
                        prime_char_sum, ramare_identity_check, ramare_weight,

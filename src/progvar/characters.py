@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import PrimeTable, factor
+from .sieve import PrimeFactorization
 
 GROUP_BUDGET = 1_000_000
 
@@ -44,11 +44,30 @@ class GroupComponent:
     order: int
 
 
-def _smallest_primitive_root(p: int, e: int, table: PrimeTable | None) -> int:
+def _trial_factor(n: int) -> PrimeFactorization:
+    """n >= 1 factored by trial division.  A modulus and its group orders
+    are small enough (GROUP_BUDGET bounds phi(q)) that this costs less
+    than building a sieve to factor them."""
+    factors = []
+    m, d = n, 2
+    while d * d <= m:
+        if m % d == 0:
+            k = 0
+            while m % d == 0:
+                m //= d
+                k += 1
+            factors.append((d, k))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return PrimeFactorization(n, tuple(factors))
+
+
+def _smallest_primitive_root(p: int, e: int) -> int:
     """Exhaustive order test against the prime factorization of phi(p^e)."""
     q = p**e
     phi = p ** (e - 1) * (p - 1)
-    phi_primes = [r for r, _ in factor(phi, table).factors]
+    phi_primes = [r for r, _ in _trial_factor(phi).factors]
     g = 2
     while True:
         if math.gcd(g, q) == 1 and all(pow(g, phi // r, q) != 1 for r in phi_primes):
@@ -59,13 +78,15 @@ def _smallest_primitive_root(p: int, e: int, table: PrimeTable | None) -> int:
 class UnitGroupStructure:
     """CRT generator decomposition of (Z/q)^x plus its discrete-log table."""
 
-    def __init__(self, q: int, table: PrimeTable | None = None):
+    def __init__(self, q: int):
         if q < 1:
             raise DomainError(f"modulus must be >= 1, got {q}")
+        if q > 2 * GROUP_BUDGET**2:  # phi(q) >= sqrt(q / 2): over budget, not worth factoring
+            raise CapacityError(f"phi({q}) exceeds enumeration budget {GROUP_BUDGET}")
         self.q = q
         components: list[GroupComponent] = []
         local = []  # (modulus piece, generator mod piece, order)
-        for p, e in factor(q, table).factors:
+        for p, e in _trial_factor(q).factors:
             pe = p**e
             if p == 2:
                 if e == 2:
@@ -74,7 +95,7 @@ class UnitGroupStructure:
                     local.append((pe, pe - 1, 2))
                     local.append((pe, 3, 2 ** (e - 2)))
             else:
-                g = _smallest_primitive_root(p, e, table)
+                g = _smallest_primitive_root(p, e)
                 local.append((pe, g, p ** (e - 1) * (p - 1)))
         phi = 1
         for _, _, order in local:
@@ -131,7 +152,7 @@ class UnitGroupStructure:
         if self._kernels is None:
             res = self.unit_residues
             self._kernels = [(d, np.flatnonzero(res % d == 1 % d))
-                             for d in factor(self.q).divisors()]
+                             for d in _trial_factor(self.q).divisors()]
         return self._kernels
 
 

@@ -25,7 +25,7 @@ from . import sieve
 from .characters import character, classify, unit_group
 from .errors import CapacityError, DomainError
 from .multfunc import parse_descriptor
-from .smooth import dickman, psi_q, smooth_recip_sum
+from .smooth import dickman, psi_q, smooth_count, smooth_recip_sum
 from .spectrum import large_value_census
 from .variance import hybrid_variance, parseval_check, variance_scan
 
@@ -197,14 +197,13 @@ def _cmd_smooth(args):
         if not (1 <= args.X < math.inf and 1 < args.Y and 0 < args.delta < math.inf):
             raise DomainError(f"ratio mode needs finite X >= 1, Y > 1 and finite delta > 0, "
                               f"got X={args.X}, Y={args.Y}, delta={args.delta}")
-        lo = psi_q(args.X, args.Y, args.q)
-        hi = psi_q((1 + args.delta) * args.X, args.Y, args.q)
+        count = smooth_count(args.X, (1 + args.delta) * args.X, args.Y, args.q)
         u = math.log(args.X) / math.log(args.Y)
         phi_over_q = sieve.euler_phi(args.q) / args.q
         predicted = dickman(u) * phi_over_q * args.delta * args.X
         row = {"mode": "ratio", "X": args.X, "Y": args.Y, "q": args.q,
-               "delta": args.delta, "count": hi - lo, "predicted": predicted,
-               "ratio": (hi - lo) / predicted if predicted else math.nan}
+               "delta": args.delta, "count": count, "predicted": predicted,
+               "ratio": count / predicted if predicted else math.nan}
     else:  # recip
         value = smooth_recip_sum(args.x1, args.x2, args.Y, args.q)
         row = {"mode": "recip", "x1": args.x1, "x2": args.x2, "Y": args.Y,

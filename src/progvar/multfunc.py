@@ -9,7 +9,6 @@ folded into the function.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,11 +42,19 @@ class MultiplicativeFunction:
 
     def at_primes(self, primes, k: int = 1) -> np.ndarray:
         """f(p^k) at each prime of primes, as complex128."""
+        return self._values(primes, k, np.complex128)
+
+    def _values(self, primes, k: int, dtype) -> np.ndarray:
+        """f(p^k) at each prime of primes as dtype: float64 takes the real
+        part of the rule's values, so a real f whose rule returns complex
+        values (a real character) is never cast implicitly."""
         primes = np.asarray(primes, dtype=np.int64)
-        vals = np.asarray(self.rule(primes, k), dtype=np.complex128)
+        vals = np.asarray(self.rule(primes, k))
         if vals.shape != primes.shape:
             raise DomainError(f"rule of {self.name} gave shape {vals.shape}, not {primes.shape}")
-        return vals
+        if dtype is np.float64:
+            vals = vals.real
+        return vals.astype(dtype, copy=False)
 
 
 def builtin(name: str, *, y: float | None = None,
@@ -123,35 +130,43 @@ def parse_descriptor(text: str) -> MultiplicativeFunction:
 def evaluate_range(f: MultiplicativeFunction, lo: int, hi: int,
                    table: PrimeTable | None = None) -> np.ndarray:
     """f(lo), ..., f(hi) by one interval-sieve pass per prime <= sqrt(hi);
-    f.rule runs once per exponent k and once for the primes above sqrt(hi)."""
+    f.rule runs once per exponent k and once for the primes above sqrt(hi).
+
+    The values are float64 when f.real (the real part of the rule's values)
+    and complex128 otherwise.
+    """
     table = _require_table(table)
     if lo < 1:
         raise DomainError(f"range must start at 1 or later, got {lo}")
     _require_coverage(hi, table)
-    vals = np.ones(hi - lo + 1, dtype=np.complex128)
+    dtype = np.float64 if f.real else np.complex128
+    vals = np.ones(hi - lo + 1, dtype=dtype)
     primes = table.primes_in(2, math.isqrt(hi))
     primes = primes[-lo % primes <= hi - lo]  # those with a multiple in the window
-    plist = primes.tolist()
-    # rows[k - 1][i] = f(plist[i]^k) up to hi^(1/k) + 1: a margin adds primes, never drops one
-    rows = [f.at_primes(primes[:np.searchsorted(primes, hi ** (1 / k) + 1, "right")], k).tolist()
+    index = {p: i for i, p in enumerate(primes.tolist())}
+    # rows[k - 1][i] = f(p_i^k) up to hi^(1/k) + 1: a margin adds primes, never drops one
+    rows = [f._values(primes[:np.searchsorted(primes, hi ** (1 / k) + 1, "right")], k,
+                      dtype).tolist()
             for k in range(1, int(hi).bit_length())]
 
     def visit(p, sl, e):
-        i = bisect.bisect_left(plist, p)
-        local = [1.0] + [row[i] for row in rows[:e.max()]]
+        i = index[p]
+        top = e.max()
+        if top == 1:  # no multiple of p^2 in the window
+            if rows[0][i] != 1:
+                vals[sl] *= rows[0][i]
+            return
+        local = [1.0] + [row[i] for row in rows[:top]]
         if any(v != 1 for v in local):
             vals[sl] *= np.array(local)[e]
 
     residual = window_apply(lo, hi, table, math.inf, visit)
     tail = residual > 1
-    if tail.any():
-        # at_primes runs before vals[tail] is gathered, so residual[tail] is
-        # freed first; the product goes into the gathered copy, never into
-        # the array at_primes returned.
-        at_tail = f.at_primes(residual[tail])
-        part = vals[tail]
-        part *= at_tail
-        vals[tail] = part
+    # Every residual > 1 is a prime; the rest become the prime 2, so the rule
+    # runs on primes only, and the mask discards their values.  The rule's
+    # array is only read: it may be a view of a buffer the caller keeps.
+    np.maximum(residual, 2, out=residual)
+    np.multiply(vals, f._values(residual, 1, dtype), out=vals, where=tail)
     return vals
 
 

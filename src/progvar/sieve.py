@@ -206,6 +206,9 @@ def window_apply(lo: int, hi: int, table: PrimeTable, pmax: float, on_prime_powe
     exact exponent of p at each of them.  The returned int64 array holds n
     divided by its prime powers p^k with p <= min(pmax, sqrt(hi)); when
     pmax >= sqrt(hi) each residual > 1 is a single prime above sqrt(hi).
+    The primes with no multiple in the window are dropped by one array
+    comparison before the loop, so a narrow window far out costs one Python
+    iteration per prime that divides some n in it, not one per prime.
 
     The product of the removed prime powers divides n <= limit**2 < 2**62,
     so it stays exact in int64, and every exponent is below 63, so int8 holds
@@ -218,10 +221,9 @@ def window_apply(lo: int, hi: int, table: PrimeTable, pmax: float, on_prime_powe
     _require_coverage(hi, table)
     root = math.isqrt(hi)
     prod = np.ones(hi - lo + 1, dtype=np.int64)
-    for p in table.primes_in(2, min(pmax, root)).tolist():
+    primes = table.primes_in(2, min(pmax, root))
+    for p in primes[-lo % primes <= hi - lo].tolist():  # those with a multiple in the window
         j0 = -lo % p
-        if lo + j0 > hi:
-            continue
         sl = slice(j0, None, p)
         prod[sl] *= p
         e = np.ones((hi - lo - j0) // p + 1, dtype=np.int8)

@@ -1,6 +1,10 @@
 """Smooth-number machinery: Dickman rho, coprime smooth counts, reciprocal
 sums, the canonical two-part factorization, and the geometric threshold
 ladder with its level membership test.
+
+Counts and sums over n share one walk over blocks of _BLOCK integers that
+covers only their own window: psi_q sieves [1, X], smooth_count and
+smooth_recip_sum sieve (X1, X2].
 """
 
 from __future__ import annotations
@@ -85,19 +89,31 @@ def _smooth_mask(lo: int, hi: int, Y: float, q: int,
     return mask
 
 
+def _smooth_blocks(X1: float, X2: float, Y: float, q: int, table: PrimeTable):
+    """(lo, mask) for blocks of _BLOCK integers covering X1 < n <= X2, mask
+    marking the Y-smooth n coprime to q: the one walk behind every count
+    and sum of this module, so each sieves only its own window."""
+    lo_n = math.floor(X1) + 1
+    hi_n = math.floor(X2)
+    for lo in range(lo_n, hi_n + 1, _BLOCK):
+        yield lo, _smooth_mask(lo, min(lo + _BLOCK - 1, hi_n), Y, q, table)
+
+
 def psi_q(X: float, Y: float, q: int = 1, table: PrimeTable | None = None) -> int:
     r"""#\{n <= X : P+(n) <= Y, gcd(n, q) = 1\}, by interval sieve."""
+    return smooth_count(0, max(X, 0), Y, q, table)
+
+
+def smooth_count(X1: float, X2: float, Y: float, q: int = 1,
+                 table: PrimeTable | None = None) -> int:
+    r"""#\{X1 < n <= X2 : P+(n) <= Y, gcd(n, q) = 1\}, which equals
+    psi_q(X2) - psi_q(X1) but sieves only the window."""
     table = _require_table(table)
+    if X1 < 0 or X1 > X2:
+        raise DomainError(f"need 0 <= X1 <= X2, got {X1}, {X2}")
     if Y < 1:
         raise DomainError(f"need Y >= 1, got {Y}")
-    n_max = math.floor(X)
-    if n_max < 1:
-        return 0
-    total = 0
-    for lo in range(1, n_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, n_max)
-        total += int(_smooth_mask(lo, hi, Y, q, table).sum())
-    return total
+    return sum(int(mask.sum()) for _, mask in _smooth_blocks(X1, X2, Y, q, table))
 
 
 def smooth_recip_sum(X1: float, X2: float, Y: float, q: int = 1,
@@ -106,13 +122,9 @@ def smooth_recip_sum(X1: float, X2: float, Y: float, q: int = 1,
     table = _require_table(table)
     if X1 < 1 or X1 > X2:
         raise DomainError(f"need 1 <= X1 <= X2, got {X1}, {X2}")
-    lo_n = math.floor(X1) + 1
-    hi_n = math.floor(X2)
     parts = []
-    for lo in range(lo_n, hi_n + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, hi_n)
-        mask = _smooth_mask(lo, hi, Y, q, table)
-        ns = np.arange(lo, hi + 1, dtype=float)[mask]
+    for lo, mask in _smooth_blocks(X1, X2, Y, q, table):
+        ns = np.arange(lo, lo + len(mask), dtype=float)[mask]
         parts.extend((1.0 / ns).tolist())
     return math.fsum(parts)
 

@@ -230,7 +230,7 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
         hi_idx = np.floor(xs + h).astype(np.int64)
         base = int(lo_idx[0])
         # prefix[c, a]: the sum of the first c class rows' column a, from n = start
-        rows = class_rows(evaluate_range(f, base + 1, int(hi_idx[-1]), table).real, base + 1, q)
+        rows = class_rows(evaluate_range(f, base + 1, int(hi_idx[-1]), table), base + 1, q)
         prefix = np.zeros((len(rows) + 1, q))
         np.cumsum(rows, axis=0, out=prefix[1:])
         del rows

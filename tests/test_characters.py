@@ -3,6 +3,9 @@ import importlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,3 +249,16 @@ def test_budget_capacity_error(monkeypatch):
     monkeypatch.setattr(importlib.import_module("progvar.characters"), "GROUP_BUDGET", 100)
     with pytest.raises(CapacityError):
         UnitGroupStructure(9973)
+
+
+def test_unit_group_builds_no_default_sieve():
+    # a caller that passes its own table never pays for the 1e7 default one
+    code = ("from progvar import PrimeTable, builtin, hybrid_variance, sieve\n"
+            "hybrid_variance(builtin('mobius'), 7, 20_000, 1000, 'principal',\n"
+            "                table=PrimeTable(100_000))\n"
+            "assert sieve._default_table is None\n")
+    src = os.path.dirname(os.path.dirname(importlib.import_module("progvar").__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

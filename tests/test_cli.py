@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from progvar import PrimeTable, cli, linnik, parse_descriptor, sieve, variance
+from progvar import PrimeTable, cli, linnik, parse_descriptor, psi_q, sieve, variance
 from progvar.cli import main
 
 variance_mod = importlib.import_module("progvar.variance")
@@ -337,6 +337,18 @@ def test_smooth_cli(capsys):
     code, out, _ = run(capsys, "smooth", "--mode", "recip", "--x1", "1", "--x2", "10",
                        "--Y", "2", "--format", "json", "--sieve-limit", "10000")
     assert json.loads(out)["sum"] == 0.875
+
+
+def test_smooth_ratio_counts_the_psi_difference(capsys):
+    # non-integer X, a window (X, 1.1X] across the 2^20 block boundary, q = 12
+    X, Y, q = 1_000_000.5, 50, 12
+    code, out, _ = run(capsys, "smooth", "--mode", "ratio", "--X", str(X), "--Y", str(Y),
+                       "--q", str(q), "--delta", "0.1", "--format", "json",
+                       "--sieve-limit", "100000")
+    assert code == 0
+    table = PrimeTable(100_000)
+    want = psi_q(1.1 * X, Y, q, table) - psi_q(X, Y, q, table)
+    assert want > 0 and json.loads(out)["count"] == want
 
 
 def test_dickman_table_cli(capsys):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +84,34 @@ def test_evaluate_range_leaves_prime_values_alone(table):
     for f in fs:
         assert np.array_equal(evaluate_range(f, 1, 5000, table), mu), f.name
     assert np.all(store == -1)
+
+
+def test_evaluate_range_dtype_follows_real(table):
+    for f in pool() + [frac_twist()]:
+        vals = evaluate_range(f, 1, 1000, table)
+        assert vals.dtype == (np.float64 if f.real else np.complex128), f.name
+
+
+def test_real_character_with_complex_rule_evaluates_without_warning(table):
+    f = builtin("character", chi=characters(12)[2])
+    assert f.real and f.rule(np.array([5, 7]), 1).dtype == np.complex128
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = evaluate_range(f, 1, 5000, table)
+    assert vals.dtype == np.float64
+    assert vals.tolist() == [f(n, table).real for n in range(1, 5001)]
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 3000), (2**20 - 500, 2**20 + 500),
+                                   (10**9 - 200, 10**9 + 200)])
+def test_tail_stand_in_prime_never_reaches_a_value(table, lo, hi):
+    # the primes above sqrt(hi) are read with every other residual set to 2;
+    # f(2) = 0 would zero those n if the stand-in leaked into a value
+    f = MultiplicativeFunction("sin", lambda ps, k: np.where(ps == 2, 0.0, np.sin(ps) ** k))
+    vals = evaluate_range(f, lo, hi, table)
+    pointwise = np.array([f(n, table).real for n in range(lo, hi + 1)])
+    assert np.abs(vals - pointwise).max() < 1e-12
+    assert np.count_nonzero(vals) == np.count_nonzero(np.arange(lo, hi + 1) % 2)
 
 
 def test_evaluate_range_beyond_coverage_fails_before_allocating(table):
@@ -167,9 +197,10 @@ def test_value_does_not_depend_on_window(table):
 
 
 def test_rule_of_wrong_shape_raises(table):
-    for rule in (lambda ps, k: 1.0, lambda ps, k: np.ones(len(ps) + 1),
-                 lambda ps, k: np.ones((len(ps), 2))):
-        f = MultiplicativeFunction("bad", rule)
+    rules = (lambda ps, k: 1.0, lambda ps, k: np.ones(len(ps) + 1),
+             lambda ps, k: np.ones((len(ps), 2)))
+    for rule, real in itertools.product(rules, (True, False)):
+        f = MultiplicativeFunction("bad", rule, real)
         with pytest.raises(DomainError):
             f.at_primes(table.primes_in(2, 100))
         with pytest.raises(DomainError):

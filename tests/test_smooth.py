@@ -5,7 +5,7 @@ import pytest
 
 from progvar import (CapacityError, DomainError, canonical_factorization, dickman,
                      dickman_table, factor, mobius, prime_bounds, psi_q,
-                     sj_membership, smooth_recip_sum, theta_ladder)
+                     sj_membership, smooth_count, smooth_recip_sum, theta_ladder)
 
 
 def brute_smooth_coprime(X, Y, q):
@@ -109,6 +109,18 @@ def test_recip_sum_examples(table):
     ns = brute_smooth_coprime(300, 7, 5)
     want = math.fsum(1 / n for n in ns if 20 < n <= 300)
     assert abs(smooth_recip_sum(20, 300, 7, 5, table) - want) < 1e-12
+
+
+def test_smooth_count_is_the_psi_difference(table):
+    # non-integer ends, a window across the 2^20 block boundary, empty windows
+    cases = ((1_000_000.5, 1_100_000.25, 50, 12), (97.5, 2310.7, 7, 12),
+             (0, 500, 10, 1), (10.5, 10.9, 10, 1), (2**20, 2**20, 3, 6))
+    for X1, X2, Y, q in cases:
+        want = psi_q(X2, Y, q, table) - psi_q(X1, Y, q, table)
+        assert smooth_count(X1, X2, Y, q, table) == want, (X1, X2)
+    for X1, X2, Y in ((5, 4, 10), (-1, 4, 10), (1, 4, 0.5)):
+        with pytest.raises(DomainError):
+            smooth_count(X1, X2, Y, 1, table)
 
 
 def brute_canonical(n, x, table):

@@ -130,7 +130,7 @@ def test_sup_norm_matches_direct(table):
 def test_all_character_sums_keep_no_tables(table):
     # q = 2003: phi(q) character tables of q complex values would take 61 MiB
     q = 2003
-    unit_group(q)  # built once with the default sieve, whatever table is passed
+    unit_group(q)  # cached: built outside the measured runs
     mob = builtin("mobius")
     for run in (lambda: parseval_check(mob, q, 50_000, [0, 5], table=table),
                 lambda: large_value_census(q, [0.0, 1.5], 10_000, 1.0, mob, 0.1, table)):
