@@ -150,7 +150,13 @@ def _resume_key(q, a, predicate):
 def _cmd_linnik(args):
     lo, hi = args.q_range
     qs = range(lo, hi + 1)
-    bounds = {q: max(8, int(round(q**args.bound_exponent))) for q in qs}
+    e = args.bound_exponent
+    if not math.isfinite(e):
+        raise DomainError(f"bound exponent must be finite, got {e}")
+    try:
+        bounds = {q: max(8, int(round(q**e))) for q in qs}
+    except OverflowError:
+        raise DomainError(f"bound exponent {e} gives bounds beyond float range") from None
     results = {}
     state = None
     if args.resume:

@@ -22,6 +22,10 @@ from .errors import CapacityError, DomainError
 DEFAULT_LIMIT = 10_000_000
 _UINT64_MAX = 2**64 - 1
 
+# Integers per block in every streamed pass over a range of n.  Peak memory
+# is a few arrays of this length, whatever the range.
+BLOCK = 1 << 20
+
 _default_table = None
 
 
@@ -186,6 +190,17 @@ def prime_bounds(n: int, table: PrimeTable | None = None):
 # Interval passes.  window_apply makes one strided pass per prime; each
 # caller turns the exponents into mu, Omega, omega or f(n) with one array
 # operation per prime, on slice views rather than gathered index arrays.
+
+
+def blocks(lo: int, hi: int, size: int | None = None):
+    """Inclusive (start, stop) pairs of at most size integers covering
+    lo <= n <= hi in order, the last one partial; none when hi < lo.
+
+    size defaults to BLOCK as read at the call, so patching sieve.BLOCK
+    resizes every pass that takes the default."""
+    size = BLOCK if size is None else size
+    for start in range(lo, hi + 1, size):
+        yield start, min(start + size - 1, hi)
 
 
 def _require_coverage(hi: int, table: PrimeTable) -> None:

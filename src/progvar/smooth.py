@@ -2,7 +2,7 @@
 sums, the canonical two-part factorization, and the geometric threshold
 ladder with its level membership test.
 
-Counts and sums over n share one walk over blocks of _BLOCK integers that
+Counts and sums over n share one walk over the blocks of sieve.blocks that
 covers only their own window: psi_q sieves [1, X], smooth_count and
 smooth_recip_sum sieve (X1, X2].
 """
@@ -16,9 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import PrimeTable, _require_table, factor, window_apply
-
-_BLOCK = 1 << 20
+from .sieve import PrimeTable, _require_table, blocks, factor, window_apply
 
 
 @dataclass(frozen=True)
@@ -90,13 +88,11 @@ def _smooth_mask(lo: int, hi: int, Y: float, q: int,
 
 
 def _smooth_blocks(X1: float, X2: float, Y: float, q: int, table: PrimeTable):
-    """(lo, mask) for blocks of _BLOCK integers covering X1 < n <= X2, mask
-    marking the Y-smooth n coprime to q: the one walk behind every count
-    and sum of this module, so each sieves only its own window."""
-    lo_n = math.floor(X1) + 1
-    hi_n = math.floor(X2)
-    for lo in range(lo_n, hi_n + 1, _BLOCK):
-        yield lo, _smooth_mask(lo, min(lo + _BLOCK - 1, hi_n), Y, q, table)
+    """(lo, mask) for the blocks covering X1 < n <= X2, mask marking the
+    Y-smooth n coprime to q: the one walk behind every count and sum of
+    this module, so each sieves only its own window."""
+    for lo, hi in blocks(math.floor(X1) + 1, math.floor(X2)):
+        yield lo, _smooth_mask(lo, hi, Y, q, table)
 
 
 def psi_q(X: float, Y: float, q: int = 1, table: PrimeTable | None = None) -> int:
@@ -109,9 +105,9 @@ def smooth_count(X1: float, X2: float, Y: float, q: int = 1,
     r"""#\{X1 < n <= X2 : P+(n) <= Y, gcd(n, q) = 1\}, which equals
     psi_q(X2) - psi_q(X1) but sieves only the window."""
     table = _require_table(table)
-    if X1 < 0 or X1 > X2:
-        raise DomainError(f"need 0 <= X1 <= X2, got {X1}, {X2}")
-    if Y < 1:
+    if not 0 <= X1 <= X2 < math.inf:
+        raise DomainError(f"need 0 <= X1 <= X2 and finite X2, got {X1}, {X2}")
+    if not Y >= 1:
         raise DomainError(f"need Y >= 1, got {Y}")
     return sum(int(mask.sum()) for _, mask in _smooth_blocks(X1, X2, Y, q, table))
 
@@ -120,13 +116,18 @@ def smooth_recip_sum(X1: float, X2: float, Y: float, q: int = 1,
                      table: PrimeTable | None = None) -> float:
     """Sum of 1/n over X1 < n <= X2 with P+(n) <= Y and gcd(n, q) = 1."""
     table = _require_table(table)
-    if X1 < 1 or X1 > X2:
-        raise DomainError(f"need 1 <= X1 <= X2, got {X1}, {X2}")
-    parts = []
-    for lo, mask in _smooth_blocks(X1, X2, Y, q, table):
-        ns = np.arange(lo, lo + len(mask), dtype=float)[mask]
-        parts.extend((1.0 / ns).tolist())
-    return math.fsum(parts)
+    if not 1 <= X1 <= X2 < math.inf:
+        raise DomainError(f"need 1 <= X1 <= X2 and finite X2, got {X1}, {X2}")
+    if not Y >= 1:
+        raise DomainError(f"need Y >= 1, got {Y}")
+
+    def terms():
+        for lo, mask in _smooth_blocks(X1, X2, Y, q, table):
+            yield from (1.0 / np.arange(lo, lo + len(mask), dtype=float)[mask]).tolist()
+
+    # fsum rounds the exact sum once, whatever the order of its terms, so
+    # they stream block by block and only one block's terms are held
+    return math.fsum(terms())
 
 
 def canonical_factorization(n: int, x: float,

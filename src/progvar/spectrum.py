@@ -5,7 +5,8 @@ decomposition sums, and empirical mean-value ratios.
 p^{-it} factors are computed as exp(-i t log p), the logarithms once per
 scan.  Censuses and sup-norm scans bucket by residue class and take one
 characters.character_sums transform for all characters: a census over all
-its twists at once, a sup-norm scan per twist over all its y.
+its twists at once, a sup-norm scan over all its twists and y.  Sums over a
+range of n stream through the blocks of sieve.blocks.
 Reweighting checks run in exact rational arithmetic; bulk sums use doubles.
 """
 
@@ -22,8 +23,8 @@ from .characters import (DirichletCharacter, character, character_sums, class_su
                          range_class_sums, unit_group)
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
-from .sieve import (PrimeTable, _require_table, euler_phi, factor,
-                    omega_between_range, omega_in_range, units_mod)
+from .sieve import (PrimeTable, _require_coverage, _require_table, blocks, euler_phi,
+                    factor, omega_between_range, omega_in_range, units_mod)
 
 MONITOR_CONSTANT = 4.0  # artifact choice for the monitored mean-value bound
 
@@ -59,8 +60,8 @@ def _twisted(a: np.ndarray, ns: np.ndarray, chi: DirichletCharacter, t: float) -
 
 def _prime_window(P: float, delta: float, coeffs, table: PrimeTable | None):
     """The primes P <= p <= (1+delta)P and their coefficients a_p."""
-    if P < 2 or delta <= 0:
-        raise DomainError(f"need P >= 2 and delta > 0, got P={P}, delta={delta}")
+    if not (2 <= P < math.inf and 0 < delta < math.inf):
+        raise DomainError(f"need finite P >= 2 and delta > 0, got P={P}, delta={delta}")
     primes = _require_table(table).primes_in(P, (1 + delta) * P)
     return primes, _coeff_values(coeffs, primes)
 
@@ -75,8 +76,8 @@ def prime_char_sum(chi: DirichletCharacter, t: float, P: float, delta: float,
 def log_prime_char_sum(chi: DirichletCharacter, t: float, P: float, eps_exp: float,
                        table: PrimeTable | None = None) -> complex:
     """sum over primes P <= p <= P^(1+eps_exp) of chi(p) p^{-(1+it)}."""
-    if P < 2 or eps_exp <= 0:
-        raise DomainError(f"need P >= 2 and eps_exp > 0, got P={P}, eps={eps_exp}")
+    if not (2 <= P < math.inf and 0 < eps_exp < math.inf):
+        raise DomainError(f"need finite P >= 2 and eps_exp > 0, got P={P}, eps={eps_exp}")
     table = _require_table(table)
     primes = table.primes_in(P, P ** (1 + eps_exp))
     if primes.size == 0:
@@ -126,7 +127,11 @@ def large_value_census(q: int, t_grid, P: float, delta: float, coeffs,
 def sup_norm_scan(f: MultiplicativeFunction, q: int, x: float, y_grid, t_grid,
                   exclude: int, table: PrimeTable | None = None) -> float:
     """max over chi != exclude, t in t_grid, y in y_grid of
-    |(1/y) sum_{n <= y} f(n) conj(chi(n)) n^{-it}|."""
+    |(1/y) sum_{n <= y} f(n) conj(chi(n)) n^{-it}|.
+
+    One walk over [1, max y] in blocks evaluates f and log n once per block
+    and adds each twist's class sums into a running (twist, class) array,
+    copied at each y; one character_sums call then takes every copy."""
     table = _require_table(table)
     y_grid = list(y_grid)
     if not all(math.isfinite(y) for y in y_grid):
@@ -137,15 +142,24 @@ def sup_norm_scan(f: MultiplicativeFunction, q: int, x: float, y_grid, t_grid,
     others = np.arange(unit_group(q).phi) != exclude  # validates q before any % q
     if not others.any():
         return 0.0
-    vals = evaluate_range(f, 1, ys[-1], table)
-    logn = np.log(np.arange(1, ys[-1] + 1, dtype=float))
-    best = 0.0
-    for t in t_grid:
-        w = vals if t == 0.0 else vals * np.exp(-1j * float(t) * logn)
-        buckets = np.stack([range_class_sums(w[:y], 1, q) for y in ys])
-        peaks = np.abs(character_sums(q, buckets)[:, others]).max(axis=1)
-        best = max(best, *(float(m) / y for m, y in zip(peaks, ys)))
-    return best
+    _require_coverage(ys[-1], table)
+    ts = [float(t) for t in t_grid]
+    if not ts:
+        return 0.0
+    acc = np.zeros((len(ts), q), dtype=np.complex128)
+    at_y = []
+    for a, y in zip([0] + ys, ys):
+        for lo, hi in blocks(a + 1, y):
+            vals = evaluate_range(f, lo, hi, table)
+            logn = np.log(np.arange(lo, hi + 1, dtype=float))
+            for k, t in enumerate(ts):
+                acc[k] += range_class_sums(
+                    vals if t == 0.0 else vals * np.exp(-1j * t * logn), lo, q)
+            del vals, logn  # free the block before the next one is allocated
+        at_y.append(acc.copy())
+    # peaks[y, twist]: the largest character sum other than exclude's
+    peaks = np.abs(character_sums(q, np.stack(at_y))[..., others]).max(axis=-1)
+    return float((peaks / np.array(ys, dtype=float)[:, None]).max())
 
 
 def ramare_weight(n: int, P: float, Q: float, table: PrimeTable | None = None) -> float:
@@ -202,10 +216,11 @@ def decomposition_sums(f: MultiplicativeFunction, chi: DirichletCharacter,
     m_hi = math.floor(2 * X * math.exp(-v / H))
     rv = 0j
     if m_lo <= m_hi:
-        ms = np.arange(m_lo, m_hi + 1)
-        vals = _twisted(evaluate_range(f, m_lo, m_hi, table), ms, chi, t)
-        weights = 1.0 / (1 + omega_between_range(m_lo, m_hi, P, Q, table))
-        rv = complex((vals * weights).sum())
+        _require_coverage(m_hi, table)
+    for lo, hi in blocks(m_lo, m_hi):
+        vals = _twisted(evaluate_range(f, lo, hi, table), np.arange(lo, hi + 1), chi, t)
+        weights = 1.0 / (1 + omega_between_range(lo, hi, P, Q, table))
+        rv += complex((vals * weights).sum())
     return qv, rv
 
 

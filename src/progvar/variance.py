@@ -11,16 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sieve
 from .characters import character, character_sums, class_rows, range_class_sums
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
-from .sieve import (PrimeTable, _require_coverage, _require_table, euler_phi, factor,
-                    units_mod)
-
-
-# Integers per evaluate_range call in the streamed class-sum passes.  Peak
-# memory is a few arrays of this length, whatever the range.
-BLOCK = 1 << 20
+from .sieve import (PrimeTable, _require_coverage, _require_table, blocks, euler_phi,
+                    factor, units_mod)
 
 
 @dataclass
@@ -56,15 +52,15 @@ class VarianceReport:
 def _class_sums(f, qs, lo, hi, table):
     """For each q in qs, B with B[r] = sum of f(n) over lo <= n <= hi, n = r (mod q).
 
-    One evaluate_range call per block of BLOCK integers feeds every modulus,
+    One evaluate_range call per block of sieve.blocks feeds every modulus,
     so memory is flat in hi - lo and f is evaluated once whatever len(qs).
     """
     sums = [np.zeros(q, dtype=np.complex128) for q in qs]
     if hi < lo or not sums:
         return sums
     _require_coverage(hi, table)
-    for start in range(lo, hi + 1, BLOCK):
-        vals = evaluate_range(f, start, min(start + BLOCK - 1, hi), table)
+    for start, stop in blocks(lo, hi):
+        vals = evaluate_range(f, start, stop, table)
         for q, acc in zip(qs, sums):
             acc += range_class_sums(vals, start, q)
         del vals  # free the block before the next one is allocated
@@ -201,9 +197,9 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
     normalized by phi(q) X (h/q)^2.
 
     Two streamed passes: the twisted total over (X, 2X], then the sample
-    points in chunks of about BLOCK integers, each evaluating its points'
-    windows once (chunks overlap by h) and adding its weighted sum into the
-    integral.  Memory is O(BLOCK + h), whatever X.
+    points in chunks of about sieve.BLOCK integers, each evaluating its
+    points' windows once (chunks overlap by h) and adding its weighted sum
+    into the integral.  Memory is O(sieve.BLOCK + h), whatever X.
     """
     table = _require_table(table)
     if not f.real:
@@ -225,7 +221,7 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
              for a in units_mod(q).tolist()]
 
     integral = 0.0
-    for xs, weights in _sample_grid(X, sample_step, max(1, BLOCK // sample_step)):
+    for xs, weights in _sample_grid(X, sample_step, max(1, sieve.BLOCK // sample_step)):
         lo_idx = np.floor(xs).astype(np.int64)
         hi_idx = np.floor(xs + h).astype(np.int64)
         base = int(lo_idx[0])

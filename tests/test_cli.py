@@ -73,6 +73,24 @@ def test_invalid_smooth_and_dickman_arguments_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["smooth", "--mode", "psi", "--X", "inf", "--Y", "100"],
+    ["smooth", "--mode", "psi", "--X", "nan", "--Y", "100"],
+    ["smooth", "--mode", "psi", "--X", "1000", "--Y", "nan"],
+    ["smooth", "--mode", "recip", "--x1", "1", "--x2", "inf", "--Y", "100"],
+    ["spectrum", "--q", "7", "--P", "nan", "--delta", "1", "--eps", "0.1"],
+    ["spectrum", "--q", "7", "--P", "100", "--delta", "nan", "--eps", "0.1"],
+    ["linnik", "--q-range", "5:6", "--bound-exponent", "nan"],
+    ["linnik", "--q-range", "5:6", "--bound-exponent", "inf"],
+    ["linnik", "--q-range", "5:6", "--bound-exponent", "1000"],
+])
+def test_non_finite_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--sieve-limit", "100000")
+    assert code == 2
+    assert out == ""
+    assert "progvar: invalid arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["variance", "--x", "nan", "--chi1", "principal"],
     ["variance", "--x", "0", "--chi1", "principal"],
     ["variance", "--x", "0.5", "--chi1", "principal"],
@@ -284,7 +302,7 @@ def test_variance_q_list_evaluates_f_once_per_block(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert [rep["q"] for rep in json.loads(out)] == [83, 97, 127]
-    assert len(calls) == math.ceil(3e6 / variance_mod.BLOCK)
+    assert len(calls) == math.ceil(3e6 / sieve.BLOCK)
 
 
 @pytest.mark.parametrize("argv", [

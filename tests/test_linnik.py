@@ -122,6 +122,11 @@ def test_linnik_scan_rejects_bad_arguments(table):
     for q in (0, -3):
         with pytest.raises(DomainError):
             linnik_scan([q], [10], "e3", table=table)
+    for q in (0, -5):
+        with pytest.raises(DomainError):
+            e3_least(q, 1, 100, table=table)
+        with pytest.raises(DomainError):
+            mobius_least(q, 1, -1, 100, table=table)
     for bound in (float("nan"), 0, -5, 2.5):
         with pytest.raises(DomainError):
             linnik_scan([5], [bound], "e3", table=table)

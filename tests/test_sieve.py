@@ -4,7 +4,8 @@ import random
 import pytest
 
 from progvar import CapacityError, DomainError, PrimeTable, euler_phi, factor, mobius, omega_in_range, prime_bounds
-from progvar.sieve import (big_omega_range, mobius_range, omega_between_range,
+from progvar import sieve
+from progvar.sieve import (big_omega_range, blocks, mobius_range, omega_between_range,
                            omega_range)
 from progvar.smooth import _smooth_mask
 
@@ -180,3 +181,21 @@ def test_prime_table_primes_match_trial_division(n):
     assert t.primes.tolist() == [m for m in range(2, n + 1) if trial_factor(m) == ((m, 1),)]
     assert t.primes.dtype.name == "int64"
     assert (t.spf[0], t.spf[1]) == (0, 1)
+
+
+@pytest.mark.parametrize("lo,hi,size,want", [
+    (1, 30, 10, [(1, 10), (11, 20), (21, 30)]),  # exact cover
+    (5, 27, 10, [(5, 14), (15, 24), (25, 27)]),  # partial last block
+    (7, 7, 10, [(7, 7)]),
+    (8, 7, 10, []),  # hi < lo
+    (1, 0, 1, []),
+    (3, 6, 1, [(3, 3), (4, 4), (5, 5), (6, 6)]),
+])
+def test_blocks_cover_the_range(lo, hi, size, want):
+    assert list(blocks(lo, hi, size)) == want
+
+
+def test_blocks_default_size_is_read_at_the_call(monkeypatch):
+    assert list(blocks(1, sieve.BLOCK + 1)) == [(1, sieve.BLOCK), (sieve.BLOCK + 1,) * 2]
+    monkeypatch.setattr(sieve, "BLOCK", 97)
+    assert list(blocks(1, 200)) == [(1, 97), (98, 194), (195, 200)]

@@ -1,11 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from progvar import (CapacityError, DomainError, canonical_factorization, dickman,
-                     dickman_table, factor, mobius, prime_bounds, psi_q,
+                     dickman_table, factor, mobius, prime_bounds, psi_q, sieve,
                      sj_membership, smooth_count, smooth_recip_sum, theta_ladder)
+
+NAN, INF = float("nan"), float("inf")
 
 
 def brute_smooth_coprime(X, Y, q):
@@ -109,6 +112,36 @@ def test_recip_sum_examples(table):
     ns = brute_smooth_coprime(300, 7, 5)
     want = math.fsum(1 / n for n in ns if 20 < n <= 300)
     assert abs(smooth_recip_sum(20, 300, 7, 5, table) - want) < 1e-12
+    for X1, X2, Y in ((5, 4, 10), (0.5, 4, 10), (1, 4, 0.5), (1, INF, 10), (1, NAN, 10),
+                      (NAN, 4, 10), (1, 4, NAN)):
+        with pytest.raises(DomainError):
+            smooth_recip_sum(X1, X2, Y, 1, table)
+
+
+def test_recip_sum_memory_is_flat(table, monkeypatch):
+    # holding every term before the sum took about 26 bytes per smooth n,
+    # 20 MiB more at x2 = 4e6 than at 1e6; blocks of 2^16 are full in both runs
+    monkeypatch.setattr(sieve, "BLOCK", 1 << 16)
+    peaks = []
+    for x2 in (1e6, 4e6):
+        tracemalloc.start()
+        try:
+            smooth_recip_sum(1, x2, 1000, 1, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 * 2**20, [p / 2**20 for p in peaks]
+
+
+def test_smooth_sums_in_blocks_match_one_block(table, monkeypatch):
+    # windows across and on the edges of blocks of 97, against one block
+    cases = ((1, 3000, 50, 1), (96.5, 2910.7, 7, 12), (97, 194, 10, 6), (0, 96, 5, 1))
+    one = [(smooth_count(X1, X2, Y, q, table), smooth_recip_sum(max(X1, 1), X2, Y, q, table))
+           for X1, X2, Y, q in cases]
+    monkeypatch.setattr(sieve, "BLOCK", 97)
+    for (X1, X2, Y, q), want in zip(cases, one):
+        got = (smooth_count(X1, X2, Y, q, table), smooth_recip_sum(max(X1, 1), X2, Y, q, table))
+        assert got == want, (X1, X2)
 
 
 def test_smooth_count_is_the_psi_difference(table):
@@ -118,9 +151,13 @@ def test_smooth_count_is_the_psi_difference(table):
     for X1, X2, Y, q in cases:
         want = psi_q(X2, Y, q, table) - psi_q(X1, Y, q, table)
         assert smooth_count(X1, X2, Y, q, table) == want, (X1, X2)
-    for X1, X2, Y in ((5, 4, 10), (-1, 4, 10), (1, 4, 0.5)):
+    for X1, X2, Y in ((5, 4, 10), (-1, 4, 10), (1, 4, 0.5), (0, INF, 10), (0, NAN, 10),
+                      (NAN, 4, 10), (0, 4, NAN)):
         with pytest.raises(DomainError):
             smooth_count(X1, X2, Y, 1, table)
+    for X, Y in ((INF, 10), (NAN, 10), (100, NAN)):
+        with pytest.raises(DomainError):
+            psi_q(X, Y, 1, table)
 
 
 def brute_canonical(n, x, table):

@@ -9,7 +9,9 @@ import pytest
 from progvar import (DomainError, builtin, characters, decomposition_sums,
                      euler_phi, factor, large_value_census, log_prime_char_sum,
                      mean_value_ratio, omega_in_range, parseval_check, prime_char_sum,
-                     ramare_identity_check, ramare_weight, sup_norm_scan, unit_group)
+                     ramare_identity_check, ramare_weight, sieve, sup_norm_scan, unit_group)
+
+NAN, INF = float("nan"), float("inf")
 
 ONE = builtin("one")
 
@@ -47,6 +49,13 @@ def test_log_prime_char_sum_examples(table):
     assert log_prime_char_sum(triv, 0.0, 24, 0.01, table) == 0  # no prime in [24, 24.3]
 
 
+@pytest.mark.parametrize("P,eps", [(1, 0.5), (10, 0.0), (NAN, 0.5), (INF, 0.5),
+                                   (10, NAN), (10, INF)])
+def test_log_prime_char_sum_rejects_bad_window(table, P, eps):
+    with pytest.raises(DomainError):
+        log_prime_char_sum(characters(1)[0], 0.0, P, eps, table)
+
+
 def test_census_examples(table):
     count, pts = large_value_census(5, [0.0], 10, 1.0, ONE, 0.5, table)
     assert count == 1 and pts[0].chi_index == 0
@@ -63,10 +72,13 @@ def test_census_well_spacing(table):
     large_value_census(5, [-3.0, -1.5, 0.0, 1.0], 10, 1.0, ONE, 0.1, table)
 
 
-@pytest.mark.parametrize("P,delta", [(0, 1.0), (1, 1.0), (10, 0.0), (10, -1.0)])
+@pytest.mark.parametrize("P,delta", [(0, 1.0), (1, 1.0), (10, 0.0), (10, -1.0),
+                                     (NAN, 1.0), (INF, 1.0), (10, NAN), (10, INF)])
 def test_census_rejects_bad_window(table, P, delta):
     with pytest.raises(DomainError):
         large_value_census(5, [0.0], P, delta, ONE, 0.1, table)
+    with pytest.raises(DomainError):
+        prime_char_sum(characters(5)[1], 0.0, P, delta, ONE, table)
 
 
 def test_census_matches_brute_force_and_monotone(table):
@@ -111,12 +123,11 @@ def test_sup_norm_rejects_y_below_1(table, ys):
         sup_norm_scan(builtin("mobius"), 5, 100, ys, [0.0], exclude=0, table=table)
 
 
-def test_sup_norm_matches_direct(table):
+def test_sup_norm_matches_direct(table, monkeypatch):
     q = 5
     f = builtin("mobius")
-    ys = [50, 200]
+    ys = [50, 97, 194, 200]  # with blocks of 97: inside a block and on its edges
     ts = [0.0, 2.0]
-    got = sup_norm_scan(f, q, 500, ys, ts, exclude=0, table=table)
     best = 0.0
     for chi in characters(q)[1:]:
         for t in ts:
@@ -124,7 +135,29 @@ def test_sup_norm_matches_direct(table):
                 s = sum(complex(f(n, table)) * complex(chi(n)).conjugate()
                         * cmath.exp(-1j * t * math.log(n)) for n in range(1, y + 1))
                 best = max(best, abs(s) / y)
-    assert abs(got - best) < 1e-9
+    for block in (sieve.BLOCK, 97):
+        monkeypatch.setattr(sieve, "BLOCK", block)
+        got = sup_norm_scan(f, q, 500, ys, ts, exclude=0, table=table)
+        assert abs(got - best) < 1e-9, block
+
+
+def test_sup_norm_memory_is_flat_in_y(table, monkeypatch):
+    # the whole-range path held about 60 bytes per n, 180 MiB more at
+    # y = 4e6 than at y = 1e6; blocks of 2^16 are full in both runs, and a
+    # first small call keeps tables built once per process out of the peaks
+    monkeypatch.setattr(sieve, "BLOCK", 1 << 16)
+    mob = builtin("mobius")
+    sup_norm_scan(mob, 7, 1e4, [1e4], [0.0, 1.5], exclude=0, table=table)
+    peaks = []
+    for y_max in (1e6, 4e6):
+        ys = [y_max / 4, y_max / 2, 3 * y_max / 4, y_max]
+        tracemalloc.start()
+        try:
+            sup_norm_scan(mob, 7, y_max, ys, [0.0, 1.5, 3.0], exclude=0, table=table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * 2**20, [p / 2**20 for p in peaks]
 
 
 def test_all_character_sums_keep_no_tables(table):
@@ -180,12 +213,11 @@ def test_decomposition_sums(table):
     assert qv2 == 0
 
 
-def test_decomposition_rv_direct_loop(table):
+def test_decomposition_rv_direct_loop(table, monkeypatch):
     chi = characters(5)[1]
     f = builtin("mobius")
     H, v, X, P, Q = 3, 6, 400.0, 2, 50
     t = 0.9
-    _, rv = decomposition_sums(f, chi, t, X, P, Q, H, v, table)
     lo = math.ceil(X * math.exp(-v / H))
     hi = math.floor(2 * X * math.exp(-v / H))
     want = 0j
@@ -193,7 +225,10 @@ def test_decomposition_rv_direct_loop(table):
         w = 1.0 / (1 + omega_in_range(m, P, Q, table))
         want += complex(f(m, table)) * complex(chi(m)).conjugate() \
             * cmath.exp(-1j * t * math.log(m)) * w
-    assert abs(rv - want) < 1e-9
+    for block in (sieve.BLOCK, 7):  # one block, then 8 blocks of 7
+        monkeypatch.setattr(sieve, "BLOCK", block)
+        _, rv = decomposition_sums(f, chi, t, X, P, Q, H, v, table)
+        assert abs(rv - want) < 1e-9, block
 
 
 def test_mean_value_ratio_examples(table):

@@ -9,7 +9,7 @@ import pytest
 
 from progvar import (DomainError, builtin, characters, classify, delta_typicality,
                      deviation, euler_phi, evaluate_range, hybrid_variance,
-                     is_y_typical, parse_descriptor, parseval_check, variance)
+                     is_y_typical, parse_descriptor, parseval_check, sieve, variance)
 
 # the package exports a function named variance, so fetch the module itself
 variance_mod = importlib.import_module("progvar.variance")
@@ -190,7 +190,7 @@ def whole_range_class_sums(f, q, lo, hi, table):
 
 @pytest.mark.parametrize("lo", [1, 1000])
 def test_class_sums_in_blocks_match_whole_range(table, monkeypatch, lo):
-    monkeypatch.setattr(variance_mod, "BLOCK", 97)
+    monkeypatch.setattr(sieve, "BLOCK", 97)
     qs = [1, 2, 12, 97, 101, 250]  # 250 is wider than a block
     hi = lo + 3000  # 31 blocks, the last one partial
     cases = ((builtin("mobius"), 0.0), (parse_descriptor("character:q=101,idx=7"), 1e-12))
@@ -235,7 +235,7 @@ def hybrid_oracle(f, q, X, h, chi, step, table):
 @pytest.mark.parametrize("q,X,h,step", [(1, 400, 30, 1), (5, 400.5, 50, 3),
                                         (7, 350, 70, 2)])
 def test_hybrid_in_chunks_matches_oracle(table, monkeypatch, block, q, X, h, step):
-    monkeypatch.setattr(variance_mod, "BLOCK", block)
+    monkeypatch.setattr(sieve, "BLOCK", block)
     mob = builtin("mobius")
     # a real non-principal chi1 where there is one
     idx = next((c.index for c in characters(q)
