@@ -377,9 +377,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     previous = sieve._default_table
-    if args.sieve_limit is not None:
-        sieve._default_table = sieve.PrimeTable(args.sieve_limit)
     try:
+        if args.sieve_limit is not None:
+            sieve._default_table = sieve.PrimeTable(args.sieve_limit)
         return args.run(args)
     except DomainError as e:
         # arguments violating an operation's contract are usage errors

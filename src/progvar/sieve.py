@@ -6,11 +6,19 @@ ordered prime list.  Single integers up to limit**2 are factored by an spf
 walk or trial division; intervals are processed by windowed passes over the
 stored primes, which is the hot path for every scan in the package.
 
-All tables are immutable after construction and safe to share.
+The table is built as a segmented sieve: [0, limit] is walked in cache-sized
+segments, and in each one every prime p <= sqrt(segment end) writes p at its
+multiples from p*p on, largest prime first, so that the smallest prime factor
+is the value left standing.  The entries still zero are 0, 1 and the primes;
+each is set to itself and the primes are collected in the same segment.
+
+All tables are immutable after construction (their arrays are read-only)
+and safe to share.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -25,6 +33,10 @@ _UINT64_MAX = 2**64 - 1
 # Integers per block in every streamed pass over a range of n.  Peak memory
 # is a few arrays of this length, whatever the range.
 BLOCK = 1 << 20
+
+# Entries per segment of the PrimeTable build: 2^18 uint32 is 1 MiB, which
+# stays in cache while every sieving prime strikes it.
+_SEGMENT = 1 << 18
 
 _default_table = None
 
@@ -66,15 +78,27 @@ class PrimeTable:
         if limit > 2**31 - 1:
             raise CapacityError(f"sieve limit {limit} exceeds uint32 spf storage")
         self.limit = int(limit)
+        root = math.isqrt(self.limit)
+        small = np.ones(root + 1, dtype=bool)
+        small[:2] = False
+        for p in range(2, math.isqrt(root) + 1):
+            if small[p]:
+                small[p * p :: p] = False
+        sieving = np.flatnonzero(small).tolist()  # the primes up to sqrt(limit)
         spf = np.zeros(self.limit + 1, dtype=np.uint32)
-        for p in range(2, math.isqrt(self.limit) + 1):
-            if spf[p] == 0:
-                view = spf[p * p :: p]
-                view[view == 0] = p
-        unmarked = np.flatnonzero(spf == 0)
-        spf[unmarked] = unmarked  # remaining zeros are 0, 1 and the primes
+        found = []
+        for a, b in blocks(0, self.limit, _SEGMENT):
+            seg = spf[a : b + 1]
+            # largest prime first, so the smallest one dividing n is written last
+            for p in reversed(sieving[: bisect.bisect_right(sieving, math.isqrt(b))]):
+                seg[max(p * p, -(-a // p) * p) - a :: p] = p
+            zeros = np.flatnonzero(seg == 0)  # 0, 1 and the primes
+            found.append(zeros + a)
+            seg[zeros] = found[-1]
+        primes = np.concatenate(found)[2:].astype(np.int64, copy=False)
+        spf.flags.writeable = primes.flags.writeable = False
         self.spf = spf
-        self.primes = unmarked[2:].astype(np.int64, copy=False)
+        self.primes = primes
 
     def is_prime(self, n: int) -> bool:
         if n < 2:
@@ -102,7 +126,13 @@ def default_table() -> PrimeTable:
     """Shared lazily built table; PROGVAR_SIEVE_LIMIT overrides the bound."""
     global _default_table
     if _default_table is None:
-        limit = int(os.environ.get("PROGVAR_SIEVE_LIMIT", DEFAULT_LIMIT))
+        text = os.environ.get("PROGVAR_SIEVE_LIMIT", str(DEFAULT_LIMIT))
+        try:
+            limit = int(text)
+        except ValueError:
+            limit = 0
+        if limit < 1:  # the rule of --sieve-limit
+            raise DomainError(f"PROGVAR_SIEVE_LIMIT must be a positive integer, got {text!r}")
         _default_table = PrimeTable(limit)
     return _default_table
 

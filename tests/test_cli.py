@@ -126,6 +126,37 @@ def test_sieve_limit_holds_for_one_command(capsys, monkeypatch):
     assert sieve.default_table() is before
 
 
+@pytest.mark.parametrize("limit,code,message", [
+    ("1", 2, "progvar: invalid arguments: sieve limit must be >= 2"),
+    ("3000000000", 1, "progvar: capacity error: sieve limit 3000000000"),
+])
+def test_sieve_limit_out_of_range_exits_with_one_line(capsys, monkeypatch, limit, code,
+                                                      message):
+    monkeypatch.setattr(sieve, "_default_table", PrimeTable(1000))
+    before = sieve.default_table()
+    tracemalloc.start()
+    try:
+        got, out, err = run(capsys, "smooth", "--mode", "psi", "--X", "1000", "--Y", "10",
+                            "--sieve-limit", limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert peak < 2**20  # a 3e9 table (12 GB) is refused before it is allocated
+    assert sieve.default_table() is before
+
+
+@pytest.mark.parametrize("text", ["1e6", "abc"])
+def test_non_integer_sieve_limit_variable_exits_2(capsys, monkeypatch, text):
+    monkeypatch.setenv("PROGVAR_SIEVE_LIMIT", text)
+    monkeypatch.setattr(sieve, "_default_table", None)
+    code, out, err = run(capsys, "smooth", "--mode", "psi", "--X", "1000", "--Y", "10")
+    assert (code, out) == (2, "")
+    assert err == ("progvar: invalid arguments: PROGVAR_SIEVE_LIMIT must be a positive "
+                   f"integer, got {text!r}\n")
+
+
 def test_unknown_function_exits_2(capsys):
     code, _, err = run(capsys, "variance", "--f", "zeta", "--q", "3", "--x", "10",
                        "--sieve-limit", "10000")

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from progvar import CapacityError, DomainError, PrimeTable, euler_phi, factor, mobius, omega_in_range, prime_bounds
@@ -181,6 +182,62 @@ def test_prime_table_primes_match_trial_division(n):
     assert t.primes.tolist() == [m for m in range(2, n + 1) if trial_factor(m) == ((m, 1),)]
     assert t.primes.dtype.name == "int64"
     assert (t.spf[0], t.spf[1]) == (0, 1)
+
+
+def masked_spf_table(limit):
+    """Oracle: one full-length masked pass per prime, then one scan for zeros."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            view = spf[p * p :: p]
+            view[view == 0] = p
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked
+    return spf, unmarked[2:].astype(np.int64)
+
+
+def assert_matches_masked_oracle(limit):
+    t = PrimeTable(limit)
+    spf, primes = masked_spf_table(limit)
+    assert t.spf.dtype == spf.dtype and t.primes.dtype == primes.dtype
+    assert np.array_equal(t.spf, spf)
+    assert np.array_equal(t.primes, primes)
+
+
+# These limits end the table on a segment edge (63, 4095 with segments of 64;
+# 96 with 97) or one or two entries past one (64, 65, 4096, 4097 with 64;
+# 97, 98 with 97), so that a segment starts on a prime (97) and on a power of
+# 2 (64, 4096), and the last segment holds a single entry.
+@pytest.mark.parametrize("segment", [64, 97])
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 63, 64, 65, 96, 97, 98,
+                                   4095, 4096, 4097, 10**5])
+def test_segmented_build_matches_masked_oracle(monkeypatch, segment, limit):
+    monkeypatch.setattr(sieve, "_SEGMENT", segment)
+    assert_matches_masked_oracle(limit)
+
+
+def test_segmented_build_matches_masked_oracle_default_segment():
+    assert_matches_masked_oracle(10**6 + 3)
+
+
+def test_prime_table_arrays_are_read_only(monkeypatch):
+    monkeypatch.setenv("PROGVAR_SIEVE_LIMIT", "1000")
+    monkeypatch.setattr(sieve, "_default_table", None)
+    t = sieve.default_table()
+    with pytest.raises(ValueError):
+        t.spf[5] = 7
+    with pytest.raises(ValueError):
+        t.primes[0] = 3
+    assert factor(15, t).factors == ((3, 1), (5, 1))
+
+
+@pytest.mark.parametrize("text", ["1e6", "abc", "", "0", "-5"])
+def test_sieve_limit_variable_must_be_a_positive_integer(monkeypatch, text):
+    monkeypatch.setenv("PROGVAR_SIEVE_LIMIT", text)
+    monkeypatch.setattr(sieve, "_default_table", None)
+    with pytest.raises(DomainError, match=f"PROGVAR_SIEVE_LIMIT .*{text!r}"):
+        sieve.default_table()
+    assert sieve._default_table is None
 
 
 @pytest.mark.parametrize("lo,hi,size,want", [
