@@ -26,6 +26,7 @@ they equal weighted np.bincount sums bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sieve import PrimeFactorization
+from .sieve import PrimeFactorization, _trial_division
 
 GROUP_BUDGET = 1_000_000
 
@@ -45,22 +46,10 @@ class GroupComponent:
 
 
 def _trial_factor(n: int) -> PrimeFactorization:
-    """n >= 1 factored by trial division.  A modulus and its group orders
-    are small enough (GROUP_BUDGET bounds phi(q)) that this costs less
-    than building a sieve to factor them."""
-    factors = []
-    m, d = n, 2
-    while d * d <= m:
-        if m % d == 0:
-            k = 0
-            while m % d == 0:
-                m //= d
-                k += 1
-            factors.append((d, k))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return PrimeFactorization(n, tuple(factors))
+    """n >= 1 factored by trial division by 2 and the odd numbers.  A modulus
+    and its group orders are small enough (GROUP_BUDGET bounds phi(q)) that
+    this costs less than building a sieve to factor them."""
+    return _trial_division(n, itertools.chain([2], itertools.count(3, 2)))
 
 
 def _smallest_primitive_root(p: int, e: int) -> int:

@@ -173,6 +173,8 @@ def e3_star_logsum(q: int, a: int, P1: float, P2: float, P3: float, eps: float,
     """Sum of 1/n over the set of n = p1 p2 p3 with p_i in [P_i^(1-eps), P_i]
     and n = a (mod q); each n counted once."""
     table = _require_table(table)
+    if q < 1:
+        raise DomainError(f"modulus must be a positive integer, got {q}")
     if math.gcd(a, q) != 1:
         raise DomainError(f"class {a} not coprime to {q}")
     if not 0 < eps < 1:
@@ -197,6 +199,8 @@ def ternary_coverage(q: int, table: PrimeTable | None = None):
     """For each coprime class a, search primes p1 <= p2 <= p3 <= q with
     p1 p2 p3 = a (mod q).  Returns (covered, witnesses, missing)."""
     table = _require_table(table)
+    if q < 1:
+        raise DomainError(f"modulus must be a positive integer, got {q}")
     if q == 1:
         return (True, {}, [])  # trivial group: nothing to cover
     units = units_mod(q).tolist()

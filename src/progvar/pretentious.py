@@ -51,6 +51,8 @@ def _prime_data(f, x, q, y, table):
         raise DomainError(f"need x >= 2, got {x}")
     if y > x:
         raise DomainError(f"need y <= x, got y={y}, x={x}")
+    if q < 1:
+        raise DomainError(f"modulus must be a positive integer, got {q}")
     table = _require_table(table)
     primes = table.primes_in(math.floor(y) + 1, x)
     if q > 1:

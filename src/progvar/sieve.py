@@ -152,33 +152,36 @@ def factor(n: int, table: PrimeTable | None = None) -> PrimeFactorization:
         raise CapacityError(f"{n} exceeds 64-bit capacity")
     if n > table.limit * table.limit:
         raise CapacityError(f"{n} beyond trial-division coverage (limit {table.limit})")
-    factors = []
-    if n <= table.limit:
-        m = n
-        spf = table.spf
-        while m > 1:
-            p = int(spf[m])
+    if n > table.limit:
+        return _trial_division(n, map(int, table.primes))
+    factors, m = [], n
+    spf = table.spf
+    while m > 1:
+        p = int(spf[m])
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        factors.append((p, k))
+    return PrimeFactorization(n, tuple(factors))
+
+
+def _trial_division(n: int, divisors) -> PrimeFactorization:
+    """n >= 1 factored by dividing out each d of an ascending iterable that
+    holds every prime up to sqrt(n), until d*d exceeds the cofactor; the
+    cofactor left is then 1 or a prime."""
+    factors, m = [], n
+    for d in divisors:
+        if d * d > m:
+            break
+        if m % d == 0:
             k = 0
-            while m % p == 0:
-                m //= p
+            while m % d == 0:
+                m //= d
                 k += 1
-            factors.append((p, k))
-    else:
-        m = n
-        root = math.isqrt(n)
-        for p in table.primes:
-            p = int(p)
-            if p > root:
-                break
-            if m % p == 0:
-                k = 0
-                while m % p == 0:
-                    m //= p
-                    k += 1
-                factors.append((p, k))
-                root = math.isqrt(m)
-        if m > 1:
-            factors.append((m, 1))  # cofactor is prime: no divisor <= sqrt(n) remains
+            factors.append((d, k))
+    if m > 1:
+        factors.append((m, 1))
     return PrimeFactorization(n, tuple(factors))
 
 

@@ -91,6 +91,8 @@ def _smooth_blocks(X1: float, X2: float, Y: float, q: int, table: PrimeTable):
     """(lo, mask) for the blocks covering X1 < n <= X2, mask marking the
     Y-smooth n coprime to q: the one walk behind every count and sum of
     this module, so each sieves only its own window."""
+    if q < 1:
+        raise DomainError(f"modulus must be a positive integer, got {q}")
     for lo, hi in blocks(math.floor(X1) + 1, math.floor(X2)):
         yield lo, _smooth_mask(lo, hi, Y, q, table)
 

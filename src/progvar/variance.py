@@ -8,15 +8,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import sieve
-from .characters import character, character_sums, class_rows, range_class_sums
+from .characters import (character, character_sums, class_rows, range_class_sums,
+                         unit_group)
 from .errors import DomainError
 from .multfunc import MultiplicativeFunction, evaluate_range
-from .sieve import (PrimeTable, _require_coverage, _require_table, blocks, euler_phi,
-                    factor, units_mod)
+from .sieve import PrimeTable, _require_coverage, _require_table, blocks, factor, units_mod
 
 
 @dataclass
@@ -91,9 +92,21 @@ def resolve_chi1(chi1, f: MultiplicativeFunction, q: int, x: float,
             return sel.chi_index, "auto"
         raise DomainError(f"chi1 must be an index, 'principal' or 'auto', got {chi1!r}")
     idx = int(chi1)
-    if not 0 <= idx < euler_phi(q, table):
+    if not 0 <= idx < unit_group(q).phi:
         raise DomainError(f"chi1 index {idx} out of range for q={q}")
     return idx, "explicit"
+
+
+def _main_term(q: int, B, xi):
+    """Project the class sums B (indexed by residue mod q) onto every character
+    with one character_sums call.  Returns (units, main, sums): the coprime
+    residues ascending, main[j] = sum_{chi in xi} chi(units[j])/phi * S_chi,
+    and S_chi = sum_a B[a] conj(chi(a)) in character index order."""
+    units = units_mod(q)
+    sums = character_sums(q, B)
+    main = sum((character(q, i).table[units] / len(units) * sums[i] for i in xi),
+               np.zeros(len(units), dtype=np.complex128))
+    return units, main, sums
 
 
 def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
@@ -116,17 +129,15 @@ def variance_scan(f: MultiplicativeFunction, qs, x: float, chi1,
               for q in qs]
     reports = []
     for q, (idx, mode), B in zip(qs, chosen, _class_sums(f, qs, 1, math.floor(x), table)):
-        chi = character(q, idx)
-        phi = euler_phi(q, table)
-        twisted_total = complex(np.conj(chi.table) @ B)
-        devs = {int(a): complex(B[a] - chi.table[a] / phi * twisted_total)
-                for a in units_mod(q)}
-        var = math.fsum(abs(z) ** 2 for z in devs.values())
+        units, main, _ = _main_term(q, B, [idx])
+        devs = B[units] - main
+        moduli = np.abs(devs)
+        var = math.fsum((moduli**2).tolist())
         reports.append(VarianceReport(
             q=q, x=x, f=f.name, chi1_index=idx, variance=var,
-            normalized=var / (phi * (x / q) ** 2),
-            max_deviation=max((abs(z) for z in devs.values()), default=0.0),
-            chi1_mode=mode, deviations=devs,
+            normalized=var / (len(units) * (x / q) ** 2),
+            max_deviation=float(moduli.max()), chi1_mode=mode,
+            deviations=dict(zip(units.tolist(), devs.tolist())),
         ))
     return reports
 
@@ -156,33 +167,19 @@ def parseval_check(f: MultiplicativeFunction, q: int, x: float, xi_indices,
 
       (1/phi) sum_{chi not in Xi} |sum_{n<=x} f(n) conj(chi(n))|^2
         = sum*_a |sum_{n=a(q)} f(n) - sum_{chi in Xi} chi(a)/phi * S_chi|^2.
+
+    With Xi = {chi1} the right side is variance_scan's variance, bit for bit.
     """
     _require_x(x)
     table = _require_table(table)
     xi = set(int(i) for i in xi_indices)
-    phi = euler_phi(q, table)
+    phi = unit_group(q).phi
     if any(not 0 <= i < phi for i in xi):
         raise DomainError(f"character index set {sorted(xi)} out of range for q={q}")
     B = _class_sums(f, [q], 1, math.floor(x), table)[0]
-    twisted = character_sums(q, B)
+    units, main, twisted = _main_term(q, B, sorted(xi))
     lhs = math.fsum(abs(twisted[i]) ** 2 for i in range(phi) if i not in xi) / phi
-    units = units_mod(q)
-    main = sum(character(q, i).table[units] / phi * twisted[i] for i in xi)
     return lhs, math.fsum((np.abs(B[units] - main) ** 2).tolist())
-
-
-def _sample_grid(X, step, per_chunk):
-    """Sample points X, X + step, ... below 2X in chunks of at most per_chunk, with
-    left-rule weights min(step, 2X - x).  cumsum adds in the order of a running
-    x += step, carried across chunks, so the points equal that loop's exactly."""
-    x = float(X)
-    while x < 2 * X:
-        steps = np.full(min(per_chunk, math.ceil((2 * X - x) / step) + 2), float(step))
-        steps[0] = x
-        xs = np.cumsum(steps)
-        xs = xs[:np.searchsorted(xs, 2 * X)]
-        yield xs, np.minimum(float(step), 2 * X - xs)
-        x = xs[-1] + step
 
 
 def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
@@ -193,13 +190,15 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
       int_X^{2X} sum*_a | sum_{x < n <= x+h, n=a(q)} f(n)
                           - chi1(a)/phi * (h/X) sum_{X < n <= 2X} f conj(chi1) |^2 dx
 
-    approximated at x = X, X + step, ... (left rule, truncated last cell) and
-    normalized by phi(q) X (h/q)^2.
+    approximated at x_k = X + k*step for 0 <= k < ceil(X/step) (left rule,
+    weight min(step, X - k*step)) and normalized by phi(q) X (h/q)^2.  The
+    integer step keeps every window on integers: x_k's window is
+    (floor(X) + k*step, floor(X + h) + k*step].
 
-    Two streamed passes: the twisted total over (X, 2X], then the sample
-    points in chunks of about sieve.BLOCK integers, each evaluating its
-    points' windows once (chunks overlap by h) and adding its weighted sum
-    into the integral.  Memory is O(sieve.BLOCK + h), whatever X.
+    Two streamed passes: the twisted total over (X, 2X], then the samples in
+    sieve.blocks of about sieve.BLOCK integers, each evaluating its windows
+    once (blocks overlap by h) and adding its weighted sum into the integral.
+    Memory is O(sieve.BLOCK + h), whatever X.
     """
     table = _require_table(table)
     if not f.real:
@@ -208,22 +207,21 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
         raise DomainError(f"need 10 <= h <= X and finite X, got h={h}, X={X}")
     if q > h / 10:
         raise DomainError(f"need q <= h/10, got q={q}, h={h}")
-    if sample_step < 1:
-        raise DomainError(f"sample_step must be >= 1, got {sample_step}")
+    if not (float(sample_step).is_integer() and sample_step >= 1):
+        raise DomainError(f"sample_step must be an integer >= 1, got {sample_step}")
+    step = int(sample_step)
     _require_coverage(math.floor(2 * X + h), table)
     idx, _ = resolve_chi1(chi1, f, q, X, T=T, table=table)
-    chi = character(q, idx)
-    phi = euler_phi(q, table)
 
     B = _class_sums(f, [q], math.floor(X) + 1, math.floor(2 * X), table)[0]
-    twisted_total = complex(np.conj(chi.table) @ B)
-    mains = [(a, complex(chi.table[a]) / phi * (h / X) * twisted_total)
-             for a in units_mod(q).tolist()]
+    units, main, _ = _main_term(q, B, [idx])
+    mains = list(zip(units.tolist(), (main * (h / X)).tolist()))
 
     integral = 0.0
-    for xs, weights in _sample_grid(X, sample_step, max(1, sieve.BLOCK // sample_step)):
-        lo_idx = np.floor(xs).astype(np.int64)
-        hi_idx = np.floor(xs + h).astype(np.int64)
+    for k0, k1 in blocks(0, math.ceil(Fraction(X) / step) - 1, max(1, sieve.BLOCK // step)):
+        offsets = np.arange(k0, k1 + 1) * step
+        lo_idx = math.floor(X) + offsets
+        hi_idx = math.floor(X + h) + offsets
         base = int(lo_idx[0])
         # prefix[c, a]: the sum of the first c class rows' column a, from n = start
         rows = class_rows(evaluate_range(f, base + 1, int(hi_idx[-1]), table), base + 1, q)
@@ -231,14 +229,14 @@ def hybrid_variance(f: MultiplicativeFunction, q: int, X: float, h: float,
         np.cumsum(rows, axis=0, out=prefix[1:])
         del rows
         start = (base + 1) // q * q
-        total = np.zeros(len(xs))
-        for a, main in mains:
+        total = np.zeros(len(offsets))
+        for a, m in mains:
             wins = (prefix[(hi_idx - start - a) // q + 1, a]
                     - prefix[(lo_idx - start - a) // q + 1, a])
-            total += (wins - main.real) ** 2 + main.imag**2
-        integral += float((total * weights).sum())
-        del prefix, total, wins  # free the chunk before the next one is allocated
-    return integral / (phi * X * (h / q) ** 2)
+            total += (wins - m.real) ** 2 + m.imag**2
+        integral += float((total * np.minimum(float(step), X - offsets)).sum())
+        del prefix, total, wins  # free the block before the next one is allocated
+    return integral / (len(units) * X * (h / q) ** 2)
 
 
 def delta_typicality(q: int, Z: float, table: PrimeTable | None = None) -> float:

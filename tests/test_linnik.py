@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from progvar import (DomainError, characters, e3_least, e3_star_logsum, factor,
-                     least_qnr, linnik_L3, linnik_mobius, linnik_scan, mobius,
-                     mobius_least, ternary_coverage)
+from progvar import (DomainError, builtin, characters, distance_sq, e3_least,
+                     e3_star_logsum, factor, halasz_M, least_qnr, linnik_L3,
+                     linnik_mobius, linnik_scan, mobius, mobius_least, psi_q,
+                     smooth_count, smooth_recip_sum, ternary_coverage)
 from progvar import linnik
 
 
@@ -112,6 +113,22 @@ def test_linnik_scan_matches_oracle(table, monkeypatch, predicate):
             assert res.max_value == max(want.values())
     assert 0 < complete < len(qs)  # both complete and short-bound moduli occur
     assert linnik_scan([], [], predicate, table=table) == []
+
+
+@pytest.mark.parametrize("q", [0, -3])
+@pytest.mark.parametrize("call", [
+    lambda q, t: e3_star_logsum(q, 1, 10, 10, 10, 0.5, table=t),
+    lambda q, t: ternary_coverage(q, table=t),
+    lambda q, t: distance_sq(builtin("mobius"), builtin("one"), 100, q=q, table=t),
+    lambda q, t: halasz_M(builtin("mobius"), 100, 1.0, q=q, table=t),
+    lambda q, t: smooth_count(0, 100, 10, q=q, table=t),
+    lambda q, t: psi_q(100, 10, q=q, table=t),
+    lambda q, t: smooth_recip_sum(1, 100, 10, q=q, table=t),
+], ids=["e3_star_logsum", "ternary_coverage", "distance_sq", "halasz_M",
+        "smooth_count", "psi_q", "smooth_recip_sum"])
+def test_moduli_below_one_are_rejected(table, call, q):
+    with pytest.raises(DomainError):
+        call(q, table)
 
 
 def test_linnik_scan_rejects_bad_arguments(table):

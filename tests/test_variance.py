@@ -114,6 +114,18 @@ def test_parseval_randomized(table):
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, lhs)
 
 
+@pytest.mark.parametrize("desc", ["mobius", "liouville", "character:q=101,idx=7",
+                                  "nit_twist:0.7"])
+@pytest.mark.parametrize("q", [1, 2, 12, 101])
+@pytest.mark.parametrize("x", [1000, 5000.5])
+def test_variance_is_parseval_rhs_bit_for_bit(table, desc, q, x):
+    # both take the main term from the same projection of the class sums
+    f = parse_descriptor(desc)
+    for idx in {0, euler_phi(q) - 1}:
+        rep = variance(f, q, x, idx, table=table)
+        assert rep.variance == parseval_check(f, q, x, [idx], table=table)[1], idx
+
+
 def test_main_term_optimality_via_parseval(table):
     # dropping the largest |twisted sum| minimizes the single-character variance
     mob = builtin("mobius")
@@ -233,7 +245,8 @@ def hybrid_oracle(f, q, X, h, chi, step, table):
 
 @pytest.mark.parametrize("block", [97, 1 << 20])
 @pytest.mark.parametrize("q,X,h,step", [(1, 400, 30, 1), (5, 400.5, 50, 3),
-                                        (7, 350, 70, 2)])
+                                        (7, 350, 70, 2), (1, 1234.567, 30, 3),
+                                        (3, 2047.7, 40, 1)])  # crosses the 2048 binade
 def test_hybrid_in_chunks_matches_oracle(table, monkeypatch, block, q, X, h, step):
     monkeypatch.setattr(sieve, "BLOCK", block)
     mob = builtin("mobius")
@@ -243,28 +256,6 @@ def test_hybrid_in_chunks_matches_oracle(table, monkeypatch, block, q, X, h, ste
     got = hybrid_variance(mob, q, X, h, idx, sample_step=step, table=table)
     oracle = hybrid_oracle(mob, q, X, h, characters(q)[idx], step, table)
     assert abs(got - oracle) <= 1e-12 * oracle, (got, oracle)
-
-
-def loop_sample_grid(X, step):
-    xs, weights = [], []
-    x = float(X)
-    while x < 2 * X:
-        xs.append(x)
-        weights.append(min(float(step), 2 * X - x))
-        x += step
-    return xs, weights
-
-
-@pytest.mark.parametrize("X", [100, 1000, 1234.567, 10**5 + 0.1])
-@pytest.mark.parametrize("step", [1, 3])
-def test_sample_grid_matches_loop(X, step):
-    loop_xs, loop_weights = loop_sample_grid(X, step)
-    # chunks of one point, of a size that does not divide the grid, and one chunk
-    for per_chunk in (1, 7, 1 << 20):
-        chunks = list(variance_mod._sample_grid(X, step, per_chunk))
-        assert all(0 < len(xs) <= per_chunk for xs, _ in chunks)
-        assert np.concatenate([xs for xs, _ in chunks]).tolist() == loop_xs
-        assert np.concatenate([w for _, w in chunks]).tolist() == loop_weights
 
 
 def test_hybrid_memory_is_flat_in_X(table):
@@ -292,6 +283,9 @@ def test_hybrid_preconditions(table):
     chi = characters(5)[1]
     with pytest.raises(DomainError):
         hybrid_variance(builtin("character", chi=chi), 1, 100, 20, 0, table=table)
+    for step in (1.5, 0, float("nan")):
+        with pytest.raises(DomainError):
+            hybrid_variance(mob, 1, 1000, 100, 0, sample_step=step, table=table)
 
 
 def test_delta_typicality(table):
