@@ -32,21 +32,30 @@ from .variance import hybrid_variance, parseval_check, variance_scan
 SCHEMA = "# progvar-schema v1"
 
 
-def _emit(args, fieldnames, rows, payload=None):
-    """Write rows as CSV or a JSON document (payload overrides row dicts)."""
+def _emit(args, fieldnames, rows, payload=None, lines=None):
+    """Write rows as CSV or a JSON document (payload overrides row dicts).
+
+    `lines`, when given, replaces rows and payload: the rows already
+    rendered in args.format, one CSV line or one JSON value each, written
+    as the CSV body or as the items of a JSON list."""
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         if args.format == "json":
-            doc = payload if payload is not None else rows
-            # dumps runs the C encoder; dump streams through pure Python
-            out.write(json.dumps(doc, ensure_ascii=False))
-            out.write("\n")
+            if lines is not None:
+                out.write("[" + ", ".join(lines) + "]\n")
+            else:
+                doc = payload if payload is not None else rows
+                # dumps runs the C encoder; dump streams through pure Python
+                out.write(json.dumps(doc, ensure_ascii=False))
+                out.write("\n")
         else:
             out.write(SCHEMA + "\n")
             out.write(f"# generated: {datetime.datetime.now().isoformat()}\n")
             out.write(",".join(fieldnames) + "\n")
-            for row in rows:
-                out.write(",".join(_csv_cell(row.get(k)) for k in fieldnames) + "\n")
+            if lines is None:
+                lines = [",".join(_csv_cell(row.get(k)) for k in fieldnames) for row in rows]
+            if lines:
+                out.write("\n".join(lines) + "\n")
     finally:
         if args.output:
             out.close()
@@ -147,6 +156,27 @@ def _resume_key(q, a, predicate):
     return f"{q}:{a}:{predicate}"
 
 
+def _load_state(path):
+    """The scan state stored at path; empty when there is no file yet."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            state = json.load(fh)
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError) as e:  # ValueError covers bad JSON and UTF-8
+        raise DomainError(f"cannot read resume state {path}: {e}") from None
+    if not isinstance(state, dict):
+        raise DomainError(f"resume state {path} is not a JSON object")
+    return state
+
+
+def _stored_minimum(state, q, a, predicate):
+    """The stored least n = a (mod q), or None when the entry is missing or
+    cannot be one (not an int, below 1, or in another class)."""
+    n = state.get(_resume_key(q, a, predicate))
+    return n if type(n) is int and n >= 1 and n % q == a else None
+
+
 def _cmd_linnik(args):
     lo, hi = args.q_range
     qs = range(lo, hi + 1)
@@ -160,38 +190,45 @@ def _cmd_linnik(args):
     results = {}
     state = None
     if args.resume:
-        try:
-            with open(args.resume, "r", encoding="utf-8") as fh:
-                state = json.load(fh)
-        except FileNotFoundError:
-            state = {}
+        state = _load_state(args.resume)
         for q in qs:
-            known = {a: state.get(_resume_key(q, a, args.predicate))
+            known = {a: _stored_minimum(state, q, a, args.predicate)
                      for a in sieve.units_mod(q).tolist()}
             # A stored minimum answers this run only when it lies within the bound.
-            if all(isinstance(n, int) and n <= bounds[q] for n in known.values()):
+            if all(n is not None and n <= bounds[q] for n in known.values()):
                 results[q] = linnik_mod._assemble(q, args.predicate, bounds[q], known)
     todo = [q for q in qs if q not in results]
     for res in linnik_mod.linnik_scan(todo, [bounds[q] for q in todo], args.predicate):
         results[res.q] = res
 
-    rows = []
+    # Each row is rendered as it is read, exactly as json.dumps or _csv_cell
+    # would write its dict {"q", "a", "n", "exponent"}.
+    as_json = args.format == "json"
+    none = "null" if as_json else ""
+    lines = []
     for q in qs:
         log_q = math.log(q)
         for a, n in sorted(results[q].minima.items()):
             if state is not None:
-                key = _resume_key(q, a, args.predicate)
                 # a minimum found earlier under a larger bound stays on record
-                state[key] = n if n is not None else state.get(key, "pending")
-            exponent = math.log(n) / log_q if n is not None and q > 1 else None
-            rows.append({"q": q, "a": a, "n": n, "exponent": exponent})
+                state[_resume_key(q, a, args.predicate)] = (
+                    n if n is not None
+                    else _stored_minimum(state, q, a, args.predicate) or "pending")
+            if n is None:
+                n_text = e_text = none
+            else:
+                # math.log, not np.log, whose last bit may differ by build
+                n_text = n
+                e_text = repr(math.log(n) / log_q) if q > 1 else none
+            lines.append(f'{{"q": {q}, "a": {a}, "n": {n_text}, "exponent": {e_text}}}'
+                         if as_json else f"{q},{a},{n_text},{e_text}")
     if state is not None:
         # Write beside the state and rename, so it is never left half-written.
         tmp = args.resume + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(state, fh, sort_keys=True)
         os.replace(tmp, args.resume)
-    _emit(args, ["q", "a", "n", "exponent"], rows, rows)
+    _emit(args, ["q", "a", "n", "exponent"], None, lines=lines)
     return 0
 
 

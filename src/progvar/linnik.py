@@ -72,6 +72,10 @@ def _mobius_predicate(sign: int) -> str:
     return "mobius-minus" if sign == -1 else "mobius-plus"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _scan(qs: list[int], bounds: list[int], wanted: list[set[int]], qualifies,
           table: PrimeTable) -> list[dict[int, int]]:
     """First qualifying n <= bounds[i] in each class of wanted[i] mod qs[i].
@@ -81,7 +85,7 @@ def _scan(qs: list[int], bounds: list[int], wanted: list[set[int]], qualifies,
     and has not passed its bound.  The sets in `wanted` are emptied as
     classes are found.
     """
-    if not all(isinstance(b, (int, np.integer)) and b >= 1 for b in bounds):
+    if not all(_is_int(b) and b >= 1 for b in bounds):
         raise DomainError(f"bounds must be integers >= 1, got {bounds}")
     found: list[dict[int, int]] = [{} for _ in qs]
     open_ = [i for i in range(len(qs)) if wanted[i]]
@@ -93,12 +97,20 @@ def _scan(qs: list[int], bounds: list[int], wanted: list[set[int]], qualifies,
         for i in open_:
             q, todo = qs[i], wanted[i]
             hits = ns[:np.searchsorted(ns, bounds[i], side="right")]
-            # least hit of each class in this block; hi + 1 where none
-            first = np.full(q, hi + 1, dtype=ns.dtype)
-            np.minimum.at(first, hits % q, hits)
-            for a in [a for a in todo if first[a] <= hi]:
-                found[i][a] = int(first[a])
-                todo.discard(a)
+            # The hits ascend, so a class's least hit lies in the first
+            # stretch holding any hit of it: read stretches of 4q, 4q, 8q,
+            # 16q, ... hits until no class of q is open.
+            start, stop = 0, 4 * q
+            while todo and start < len(hits):
+                part = hits[start:stop]
+                # least hit of each class in this stretch; hi + 1 where none
+                first = np.full(q, hi + 1, dtype=ns.dtype)
+                np.minimum.at(first, part % q, part)
+                first = first.tolist()
+                for a in [a for a in todo if first[a] <= hi]:
+                    found[i][a] = first[a]
+                    todo.discard(a)
+                start, stop = stop, 2 * stop
         open_ = [i for i in open_ if wanted[i] and bounds[i] > hi]
     return found
 
@@ -106,7 +118,7 @@ def _scan(qs: list[int], bounds: list[int], wanted: list[set[int]], qualifies,
 def _least(q: int, a: int, bound: int, predicate: str,
            table: PrimeTable | None) -> int | None:
     table = _require_table(table)
-    if q < 1:
+    if not (_is_int(q) and q >= 1):
         raise DomainError(f"modulus must be a positive integer, got {q}")
     if math.gcd(a, q) != 1:
         raise DomainError(f"class {a} not coprime to {q}")
@@ -147,7 +159,7 @@ def linnik_scan(qs, bounds, predicate: str,
     qs, bounds = list(qs), list(bounds)
     if len(qs) != len(bounds):
         raise DomainError(f"{len(qs)} moduli but {len(bounds)} bounds")
-    if any(q < 1 for q in qs):
+    if not all(_is_int(q) and q >= 1 for q in qs):
         raise DomainError(f"moduli must be positive integers, got {qs}")
     qualifies = _qualifier(predicate)
     units = [units_mod(q).tolist() for q in qs]

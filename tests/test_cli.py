@@ -283,6 +283,123 @@ def test_linnik_partial_resume_matches_fresh_run(capsys, tmp_path, monkeypatch):
     assert scanned == [[3, 4, 7, 10, 11, 12]]
 
 
+def linnik_reference(table, q_range, predicate, exponent):
+    """The rows of a linnik run as dicts, from linnik_scan."""
+    lo, hi = q_range
+    qs = list(range(lo, hi + 1))
+    bounds = [max(8, int(round(q**exponent))) for q in qs]
+    rows = []
+    for res in linnik.linnik_scan(qs, bounds, predicate, table):
+        for a, n in sorted(res.minima.items()):
+            e = math.log(n) / math.log(res.q) if n is not None and res.q > 1 else None
+            rows.append({"q": res.q, "a": a, "n": n, "exponent": e})
+    return rows
+
+
+def dict_rows_text(rows, fmt):
+    """rows as json.dumps or the _csv_cell path writes them (CSV without
+    its two comment lines)."""
+    if fmt == "json":
+        return json.dumps(rows, ensure_ascii=False) + "\n"
+    fields = ["q", "a", "n", "exponent"]
+    return "".join(",".join(cli._csv_cell(row[k]) for k in fields) + "\n"
+                   for row in [dict(zip(fields, fields))] + rows)
+
+
+def without_comments(text, fmt):
+    if fmt == "json":
+        return text
+    lines = text.splitlines(keepends=True)
+    assert lines[0] == cli.SCHEMA + "\n"
+    assert lines[1].startswith("# generated: ")
+    return "".join(lines[2:])
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("q_range, predicate, exponent", [
+    ((1, 12), "e3", 0.5),  # q = 1, and classes with no witness
+    ((1, 30), "e3", 1.2),
+    ((1, 3), "e3", 3.0),
+    ((97, 99), "mobius-plus", 3.0),
+    ((5, 9), "e3-distinct", 3.0),
+])
+def test_linnik_rows_match_dict_rendering(capsys, tmp_path, table, q_range, predicate,
+                                          exponent, fmt, to_file):
+    path = tmp_path / "rows.out"
+    argv = ["linnik", "--q-range", "{}:{}".format(*q_range), "--predicate", predicate,
+            "--bound-exponent", str(exponent), "--format", fmt, "--sieve-limit", "100000"]
+    code, out, _ = run(capsys, *argv, *(["--output", str(path)] if to_file else []))
+    assert code == 0
+    if to_file:
+        assert out == ""
+        out = path.read_bytes().decode("utf-8")
+    rows = linnik_reference(table, q_range, predicate, exponent)
+    assert without_comments(out, fmt) == dict_rows_text(rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_resumed_linnik_rows_match_dict_rendering(capsys, tmp_path, table, fmt):
+    state = tmp_path / "scan.json"
+    base = ("linnik", "--predicate", "e3", "--format", fmt, "--sieve-limit", "100000",
+            "--resume", str(state))
+    run(capsys, *base, "--q-range", "5:9")
+    # 5..9 come from the state, the rest of 1..12 from a scan
+    code, out, _ = run(capsys, *base, "--q-range", "1:12")
+    assert code == 0
+    rows = linnik_reference(table, (1, 12), "e3", 3.0)
+    assert without_comments(out, fmt) == dict_rows_text(rows, fmt)
+    saved = json.loads(state.read_text())
+    assert any(r["n"] is None for r in rows)  # q = 2 and 3 stay open below 8
+    assert saved == {f"{r['q']}:{r['a']}:e3": r["n"] if r["n"] is not None else "pending"
+                     for r in rows}
+
+
+@pytest.mark.parametrize("key, value, minimum", [
+    ("5:4:e3", True, 44),  # a bool is not a minimum
+    ("5:1:e3", 3, 66),  # 3 is not = 1 (mod 5)
+    ("5:1:e3", 0, 66),
+    ("5:1:e3", -4, 66),
+    ("5:1:e3", 66.0, 66),
+    ("5:1:e3", "66", 66),
+    ("5:1:e3", None, 66),
+    ("5:1:e3", [66], 66),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_linnik_resume_rescans_entries_that_cannot_be_minima(capsys, tmp_path, fmt, key,
+                                                              value, minimum):
+    state = tmp_path / "scan.json"
+    base = ("linnik", "--q-range", "5:6", "--predicate", "e3", "--format", fmt,
+            "--sieve-limit", "100000")
+    _, fresh, _ = run(capsys, *base)
+    stored = {"5:1:e3": 66, "5:2:e3": 12, "5:3:e3": 8, "5:4:e3": 44,
+              "6:1:e3": 343, "6:5:e3": 20}
+    stored[key] = value
+    state.write_text(json.dumps(stored))
+    code, resumed, err = run(capsys, *base, "--resume", str(state))
+    assert (code, err) == (0, "")
+    assert without_comments(resumed, fmt) == without_comments(fresh, fmt)
+    saved = json.loads(state.read_text())
+    assert saved[key] == minimum and type(saved[key]) is int
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b'"state"', b"3", b"",
+                                     b"\xff\xfe{}"],
+                         ids=["bad-json", "list", "string", "number", "empty", "bad-utf8"])
+def test_unreadable_resume_state_exits_2(capsys, tmp_path, content):
+    state = tmp_path / "scan.json"
+    state.write_bytes(content)
+    code, out, err = run(capsys, "linnik", "--q-range", "5:6", "--sieve-limit", "100000",
+                         "--resume", str(state))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "resume state" in err
+    assert state.read_bytes() == content  # left as it was
+    code, out, err = run(capsys, "linnik", "--q-range", "5:6", "--sieve-limit", "100000",
+                         "--resume", str(tmp_path))  # a directory
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "resume state" in err
+
+
 @pytest.mark.parametrize("block", [linnik.BLOCK, 997])
 def test_linnik_q_range_sieves_each_block_once(capsys, monkeypatch, block):
     monkeypatch.setattr(linnik, "BLOCK", block)
@@ -359,6 +476,32 @@ def test_emit_json_matches_json_dump(tmp_path):
         json.dump(doc, fh, ensure_ascii=False)
         fh.write("\n")
     assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("rows", [
+    [{"q": 1, "a": 0, "n": 8, "exponent": None}, {"q": 7, "a": 3, "n": None, "exponent": None},
+     {"q": 7, "a": 5, "n": 110, "exponent": math.log(110) / math.log(7)},
+     {"q": 7, "a": 6, "n": 1, "exponent": 0.0}],
+    [],
+], ids=["rows", "empty"])
+def test_emit_lines_match_row_path(capsys, tmp_path, rows, fmt, to_file):
+    fields = ["q", "a", "n", "exponent"]
+    path = tmp_path / "out"
+    args = argparse.Namespace(format=fmt, output=str(path) if to_file else None)
+
+    def emitted(*call, **kwargs):
+        cli._emit(args, fields, *call, **kwargs)
+        text = path.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+        return without_comments(text, fmt)
+
+    if fmt == "json":
+        lines = [json.dumps(row, ensure_ascii=False) for row in rows]
+    else:
+        lines = [",".join(cli._csv_cell(row[k]) for k in fields) for row in rows]
+    from_lines = emitted(None, lines=lines)
+    assert from_lines == emitted(rows, rows) == dict_rows_text(rows, fmt)
 
 
 def test_workers_option_is_gone(capsys):

@@ -1,13 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from progvar import (DomainError, builtin, characters, distance_sq, e3_least,
                      e3_star_logsum, factor, halasz_M, least_qnr, linnik_L3,
                      linnik_mobius, linnik_scan, mobius, mobius_least, psi_q,
                      smooth_count, smooth_recip_sum, ternary_coverage)
-from progvar import linnik
+from progvar import linnik, sieve
 
 
 def trial_big_omega(n):
@@ -115,6 +116,32 @@ def test_linnik_scan_matches_oracle(table, monkeypatch, predicate):
     assert linnik_scan([], [], predicate, table=table) == []
 
 
+BLOCK_QUALIFIERS = {
+    "e3": lambda lo, hi, t: sieve.big_omega_range(lo, hi, t) == 3,
+    "mobius-minus": lambda lo, hi, t: sieve.mobius_range(lo, hi, t) == -1,
+}
+
+
+@pytest.mark.parametrize("predicate", sorted(BLOCK_QUALIFIERS))
+def test_linnik_scan_reads_hits_in_growing_prefixes(table, predicate):
+    # At the real block size the first block holds thousands of hits per
+    # modulus, so the scan reads its hits in prefixes of 4q, 8q, 16q, ...
+    qs = list(range(300, 310))
+    results = linnik_scan(qs, [q**3 for q in qs], predicate, table=table)
+    hits = np.flatnonzero(BLOCK_QUALIFIERS[predicate](1, linnik.BLOCK, table)) + 1
+    deepest = 0
+    for q, res in zip(qs, results):
+        # least hit of every class over the whole first block at once
+        least = np.full(q, linnik.BLOCK + 1)
+        np.minimum.at(least, hits % q, hits)
+        want = {a: int(least[a]) for a in range(q) if math.gcd(a, q) == 1}
+        assert max(want.values()) <= linnik.BLOCK  # all found in the first block
+        assert res.minima == want, q
+        deepest = max(deepest, int(np.searchsorted(hits, max(want.values()))) / q)
+    # some class's least hit lies beyond the first prefix of 4q hits
+    assert deepest >= 4
+
+
 @pytest.mark.parametrize("q", [0, -3])
 @pytest.mark.parametrize("call", [
     lambda q, t: e3_star_logsum(q, 1, 10, 10, 10, 0.5, table=t),
@@ -144,13 +171,21 @@ def test_linnik_scan_rejects_bad_arguments(table):
             e3_least(q, 1, 100, table=table)
         with pytest.raises(DomainError):
             mobius_least(q, 1, -1, 100, table=table)
-    for bound in (float("nan"), 0, -5, 2.5):
+    for bound in (float("nan"), 0, -5, 2.5, 100.0, True, np.float64(100)):
         with pytest.raises(DomainError):
             linnik_scan([5], [bound], "e3", table=table)
         with pytest.raises(DomainError):
             e3_least(5, 1, bound, table=table)
         with pytest.raises(DomainError):
             mobius_least(5, 1, -1, bound, table=table)
+    for q in (7.0, True, np.float64(7)):
+        with pytest.raises(DomainError):
+            linnik_scan([q], [100], "e3", table=table)
+        with pytest.raises(DomainError):
+            e3_least(q, 1, 100, table=table)
+    # numpy integers are integers
+    res = linnik_scan([np.int64(5)], [np.int32(1000)], "e3", table=table)[0]
+    assert res.minima == {1: 66, 2: 12, 3: 8, 4: 44}
 
 
 def test_linnik_result_json_roundtrip(table):
